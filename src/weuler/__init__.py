@@ -2,7 +2,7 @@
 
 Everything is exact rational arithmetic: no floats anywhere. The core stack is
 
-* :mod:`weuler.ratfunc` -- rational functions of the weight w over Q,
+* :mod:`weuler.ratfunc` -- dense polynomials and rational functions of the weight w over Q,
 * :mod:`weuler.series`  -- truncated formal power series over a coefficient field,
 * :mod:`weuler.umbral`  -- linear functionals, Sheffer/Appell bases, expansions,
 * :mod:`weuler.euler`   -- weighted Euler numbers/polynomials and the identity suite,
@@ -11,7 +11,7 @@ Everything is exact rational arithmetic: no floats anywhere. The core stack is
 * :mod:`weuler.cli`     -- the ``weuler`` command line front end.
 """
 
-from .ratfunc import QQ, QW, W, WPolynomial, WRational, binomial, multinomial
+from .ratfunc import QQ, QW, W, Polynomial, WPolynomial, WRational, binomial, multinomial
 from .series import Series, exp_series
 from .umbral import (
     ShefferPair,
@@ -63,6 +63,7 @@ __all__ = [
     "QQ",
     "QW",
     "W",
+    "Polynomial",
     "WPolynomial",
     "WRational",
     "binomial",

@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .euler import EulerTable
-from .ratfunc import QW, W, binomial
-from .umbral import XPolynomial
+from .ratfunc import QW, W, Polynomial, binomial
 
 KEYWORDS = {"forall", "in", "sum", "binom", "E", "Ek", "w", "x"}
 
@@ -541,7 +540,7 @@ class TableContext:
     def number(self, order: int, index: int):
         return self.table(order, index).numbers[index]
 
-    def poly(self, order: int, index: int) -> XPolynomial:
+    def poly(self, order: int, index: int) -> Polynomial:
         return self.table(order, index).polys[index]
 
 
@@ -553,33 +552,33 @@ def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
     return value
 
 
-def evaluate_expr(node, env: dict, ctx: TableContext) -> XPolynomial:
+def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
     """Exact polynomial in x over Q(w); env binds every index variable."""
     if isinstance(node, Lit):
-        return XPolynomial(QW, (QW.of(node.value),))
+        return Polynomial(QW, (QW.of(node.value),))
     if isinstance(node, WSym):
-        return XPolynomial(QW, (W,))
+        return Polynomial(QW, (W,))
     if isinstance(node, XSym):
-        return XPolynomial.variable(QW)
+        return Polynomial.variable(QW)
     if isinstance(node, ECall):
         index = _index_value(node.index, env, "index")
         if node.xarg is None:
-            return XPolynomial(QW, (ctx.number(1, index),))
+            return Polynomial(QW, (ctx.number(1, index),))
         return ctx.poly(1, index).shifted(node.xarg)
     if isinstance(node, EkCall):
         order = node.order.evaluate(env)
         index = _index_value(node.index, env, "index")
         if node.xarg is None:
-            return XPolynomial(QW, (ctx.number(order, index),))
+            return Polynomial(QW, (ctx.number(order, index),))
         return ctx.poly(order, index).shifted(node.xarg)
     if isinstance(node, Binom):
         n = node.top.evaluate(env)
         k = node.bottom.evaluate(env)
-        return XPolynomial(QW, (QW.of(binomial(n, k)),))
+        return Polynomial(QW, (QW.of(binomial(n, k)),))
     if isinstance(node, SumExpr):
         lo = node.lo.evaluate(env)
         hi = node.hi.evaluate(env)
-        acc = XPolynomial.zero(QW)
+        acc = Polynomial.zero(QW)
         inner = dict(env)
         for v in range(lo, hi + 1):
             inner[node.var] = v

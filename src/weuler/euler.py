@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratfunc import QQ, QW, W, binomial
+from .ratfunc import QQ, QW, W, Polynomial, binomial
 from .series import Series
-from .umbral import XPolynomial, appell_basis, apply_functional, compositions, pairing
+from .umbral import appell_basis, apply_functional, compositions, pairing
 
 
 def _field_and_w(w):
@@ -80,31 +80,31 @@ def order_k_numbers(count: int, order: int = 1, w=None) -> list:
     return [gf.umbral_coefficient(n) for n in range(count)]
 
 
-def weighted_euler_polys(count: int, order: int = 1, w=None) -> list[XPolynomial]:
+def weighted_euler_polys(count: int, order: int = 1, w=None) -> list[Polynomial]:
     """E^{(k)}_{n,w}(x) = sum_l C(n,l) x^l E^{(k)}_{n-l,w}."""
     field, _ = _field_and_w(w)
     numbers = order_k_numbers(count, order, w)
     return _polys_from_numbers(field, numbers)
 
 
-def _polys_from_numbers(field, numbers: Sequence) -> list[XPolynomial]:
+def _polys_from_numbers(field, numbers: Sequence) -> list[Polynomial]:
     polys = []
     for n in range(len(numbers)):
         coeffs = [binomial(n, l) * numbers[n - l] for l in range(n + 1)]
-        polys.append(XPolynomial(field, coeffs))
+        polys.append(Polynomial(field, coeffs))
     return polys
 
 
-def classical_euler_polys(count: int) -> list[XPolynomial]:
+def classical_euler_polys(count: int) -> list[Polynomial]:
     """Classical Euler polynomials over Q by the reflection recurrence.
 
     E_n(x) = x^n - (1/2) sum_{j<n} C(n,j) E_j(x); deliberately avoids the
     generating-function machinery so it can serve as an independent oracle.
     """
-    polys: list[XPolynomial] = []
+    polys: list[Polynomial] = []
     half = Fraction(1, 2)
     for n in range(count):
-        p = XPolynomial.monomial(QQ, n)
+        p = Polynomial.monomial(QQ, n)
         for j in range(n):
             p = p - polys[j].scale(binomial(n, j) * half)
         polys.append(p)
@@ -121,7 +121,7 @@ class EulerTable:
 
     __slots__ = ("field", "order", "w0", "numbers", "polys")
 
-    def __init__(self, field, order: int, numbers: Sequence, polys: Sequence[XPolynomial], w0=None):
+    def __init__(self, field, order: int, numbers: Sequence, polys: Sequence[Polynomial], w0=None):
         self.field = field
         self.order = order
         self.w0 = w0
@@ -155,7 +155,7 @@ class EulerTable:
             raise ValueError("table is already evaluated")
         w0 = Fraction(w0)
         numbers = [r.eval_at(w0) for r in self.numbers]
-        polys = [XPolynomial(QQ, [c.eval_at(w0) for c in p.coeffs]) for p in self.polys]
+        polys = [Polynomial(QQ, [c.eval_at(w0) for c in p.coeffs]) for p in self.polys]
         return EulerTable(QQ, self.order, numbers, polys, w0=w0)
 
     def with_perturbed_number(self, n: int, delta=1) -> "EulerTable":
@@ -239,9 +239,13 @@ class Report:
         return "\n".join(lines)
 
 
-def _counterexample(field, n, k, difference) -> dict:
-    text = str(difference) if isinstance(difference, XPolynomial) else field.render(difference)
-    return {"n": n, "k": k, "difference": text}
+def _first_failure(field, cases) -> Optional[dict]:
+    """Counterexample at the first nonzero difference of (n, k, difference) cases."""
+    for n, k, diff in cases:
+        if diff:
+            text = str(diff) if isinstance(diff, Polynomial) else field.render(diff)
+            return {"n": n, "k": k, "difference": text}
+    return None
 
 
 def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
@@ -249,7 +253,8 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     `tables` may supply prebuilt (possibly perturbed) EulerTable values keyed
     by order; missing orders are built fresh.  Failures are reported, never
-    raised.
+    raised.  Each check is a generator of (n, k, difference) cases, consumed
+    only up to its first failure.
     """
     if max_n < 2 or max_k < 1:
         raise ValueError("need max_n >= 2 and max_k >= 1")
@@ -265,153 +270,101 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     precision = max_n + 1
     g = gf_denominator(precision, 1, w=w0)
     gf = g.inverse()
-    results: list[CheckResult] = []
+    orders = range(1, max_k + 1)
 
-    def record(label: str, failure: Optional[dict]) -> None:
-        if failure is None:
-            results.append(CheckResult(label, "pass"))
-        else:
-            results.append(CheckResult(label, "fail", failure))
+    def x_pow(n, coeff=1):
+        return Polynomial.monomial(field, n, coeff)
 
-    # (a) derivative lowers the index, every order
-    failure = None
-    for k in range(1, max_k + 1):
-        polys = tables[k].polys
-        for n in range(1, max_n):
-            diff = polys[n].derivative() - polys[n - 1].scale(n)
-            if not diff.is_zero():
-                failure = _counterexample(field, n, k, diff)
-                break
-        if failure:
-            break
-    record("(a) lowering", failure)
+    def lowering():
+        # (a) derivative lowers the index, every order
+        for k in orders:
+            polys = tables[k].polys
+            for n in range(1, max_n):
+                yield n, k, polys[n].derivative() - polys[n - 1].scale(n)
 
-    # (b) the base factor inverts the Appell map: g(t) E_n(x) = x^n
-    failure = None
-    for n in range(max_n):
-        diff = apply_functional(g, t1.polys[n]) - XPolynomial.monomial(field, n)
-        if not diff.is_zero():
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(b) appell inversion", failure)
+    def operator_recurrence():
+        # (c) E_{n+1} = x E_n - (g'/g) E_n, the ratio truncated to precision n+2
+        ratio_full = g.derivative() * g.truncate(precision - 1).inverse()
+        x = Polynomial.variable(field)
+        for n in range(max_n - 1):
+            ratio = ratio_full.truncate(n + 2)
+            rhs = x * t1.polys[n] - apply_functional(ratio, t1.polys[n])
+            yield n, 1, t1.polys[n + 1] - rhs
 
-    # (c) E_{n+1} = x E_n - (g'/g) E_n, the ratio truncated to precision n+2
-    failure = None
-    ratio_full = g.derivative() * g.truncate(precision - 1).inverse()
-    x = XPolynomial.variable(field)
-    for n in range(max_n - 1):
-        ratio = ratio_full.truncate(n + 2)
-        rhs = x * t1.polys[n] - apply_functional(ratio, t1.polys[n])
-        diff = t1.polys[n + 1] - rhs
-        if not diff.is_zero():
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(c) operator recurrence", failure)
+    def order_k_functional():
+        # (g) <GF^k | x^n> = stored order-k numbers
+        gfk = gf
+        for k in orders:
+            if k > 1:
+                gfk = gfk * gf
+            for n in range(max_n):
+                yield n, k, pairing(gfk, x_pow(n)) - tables[k].numbers[n]
 
-    # (d) reflection: w E_n(x+1) + E_n(x) = 2 x^n
-    failure = None
-    for n in range(max_n):
-        p = t1.polys[n]
-        diff = p.shifted(1).scale(wv) + p - XPolynomial.monomial(field, n, 2)
-        if not diff.is_zero():
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(d) reflection", failure)
+    def order_k_binomial_form():
+        # (h) stored polynomials match the Appell basis of g^k
+        gk = g
+        for k in orders:
+            if k > 1:
+                gk = gk * g
+            basis = appell_basis(gk, max_n)
+            for n in range(max_n):
+                yield n, k, tables[k].polys[n] - basis[n]
 
-    # (e) <GF | x^n> recovers the stored numbers
-    failure = None
-    for n in range(max_n):
-        diff = pairing(gf, XPolynomial.monomial(field, n)) - t1.numbers[n]
-        if diff != field.zero:
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(e) functional representation", failure)
+    def multinomial():
+        # (i) multinomial convolution of the stored numbers
+        for k in orders:
+            for n in range(max_n):
+                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=t1.numbers, order_k=tables[k].numbers)
+                yield n, k, lhs - rhs
 
-    # (f) GF acting as an operator sends x^n to the stored polynomials
-    failure = None
-    for n in range(max_n):
-        diff = apply_functional(gf, XPolynomial.monomial(field, n)) - t1.polys[n]
-        if not diff.is_zero():
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(f) operator representation", failure)
-
-    # (g) order-k functional: <GF^k | x^n> = stored order-k numbers
-    failure = None
-    gfk = gf
-    for k in range(1, max_k + 1):
-        if k > 1:
-            gfk = gfk * gf
+    def basis_expansion():
+        # (j) expansion of the GF itself in the basis {g t^k}: the coefficients
+        # are <GF | E_k(x)>/k!, and the sum must rebuild the GF term by term
+        total = Series.zero(field, max_n)
+        for k in range(max_n):
+            lam = pairing(gf, t1.polys[k]) * Fraction(1, math.factorial(k))
+            total = total + g.truncate(max_n).mul_tk(k).scale(lam)
         for n in range(max_n):
-            diff = pairing(gfk, XPolynomial.monomial(field, n)) - tables[k].numbers[n]
-            if diff != field.zero:
-                failure = _counterexample(field, n, k, diff)
-                break
-        if failure:
-            break
-    record("(g) order-k functional", failure)
+            yield n, 1, total.coefficient(n) - gf.coefficient(n)
 
-    # (h) stored polynomials match the Appell basis of g^k
-    failure = None
-    gk = g
-    for k in range(1, max_k + 1):
-        if k > 1:
-            gk = gk * g
-        basis = appell_basis(gk, max_n)
+    def classical_reduction():
+        # (k) w = 1 collapses to the classical Euler polynomials
+        classical = classical_euler_polys(max_n)
+        candidates = [EulerTable.build(max_n, 1, w=1)]
+        if t1.w0 is None:
+            candidates.insert(0, t1.evaluate(1))
+        elif t1.w0 == 1:
+            candidates.insert(0, t1)
         for n in range(max_n):
-            diff = tables[k].polys[n] - basis[n]
-            if not diff.is_zero():
-                failure = _counterexample(field, n, k, diff)
-                break
-        if failure:
-            break
-    record("(h) order-k binomial form", failure)
+            for tab in candidates:
+                yield n, 1, tab.polys[n] - classical[n]
 
-    # (i) multinomial convolution of the stored numbers
-    failure = None
-    for k in range(1, max_k + 1):
-        for n in range(max_n):
-            lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=t1.numbers, order_k=tables[k].numbers)
-            diff = lhs - rhs
-            if diff != field.zero:
-                failure = _counterexample(field, n, k, diff)
-                break
-        if failure:
-            break
-    record("(i) multinomial", failure)
-
-    # (j) expansion of the GF itself in the basis {g t^k}: the coefficients
-    # are <GF | E_k(x)>/k!, and the sum must rebuild the GF term by term
-    failure = None
-    total = Series.zero(field, max_n)
-    for k in range(max_n):
-        lam = pairing(gf, t1.polys[k]) * Fraction(1, math.factorial(k))
-        total = total + g.truncate(max_n).mul_tk(k).scale(lam)
-    for n in range(max_n):
-        diff = total.coefficient(n) - gf.coefficient(n)
-        if diff != field.zero:
-            failure = _counterexample(field, n, 1, diff)
-            break
-    record("(j) basis expansion of the GF", failure)
-
-    # (k) w = 1 collapses to the classical Euler polynomials
-    failure = None
-    classical = classical_euler_polys(max_n)
-    candidates = [EulerTable.build(max_n, 1, w=1)]
-    if t1.w0 is None:
-        candidates.insert(0, t1.evaluate(1))
-    elif t1.w0 == 1:
-        candidates.insert(0, t1)
-    for n in range(max_n):
-        for tab in candidates:
-            diff = tab.polys[n] - classical[n]
-            if not diff.is_zero():
-                failure = _counterexample(QQ, n, 1, diff)
-                break
-        if failure:
-            break
-    record("(k) classical reduction at w=1", failure)
-
+    n_range = range(max_n)
+    checks = [
+        ("(a) lowering", field, lowering()),
+        # the base factor inverts the Appell map: g(t) E_n(x) = x^n
+        ("(b) appell inversion", field,
+         ((n, 1, apply_functional(g, t1.polys[n]) - x_pow(n)) for n in n_range)),
+        ("(c) operator recurrence", field, operator_recurrence()),
+        # reflection: w E_n(x+1) + E_n(x) = 2 x^n
+        ("(d) reflection", field,
+         ((n, 1, t1.polys[n].shifted(1).scale(wv) + t1.polys[n] - x_pow(n, 2)) for n in n_range)),
+        # <GF | x^n> recovers the stored numbers
+        ("(e) functional representation", field,
+         ((n, 1, pairing(gf, x_pow(n)) - t1.numbers[n]) for n in n_range)),
+        # GF acting as an operator sends x^n to the stored polynomials
+        ("(f) operator representation", field,
+         ((n, 1, apply_functional(gf, x_pow(n)) - t1.polys[n]) for n in n_range)),
+        ("(g) order-k functional", field, order_k_functional()),
+        ("(h) order-k binomial form", field, order_k_binomial_form()),
+        ("(i) multinomial", field, multinomial()),
+        ("(j) basis expansion of the GF", field, basis_expansion()),
+        ("(k) classical reduction at w=1", QQ, classical_reduction()),
+    ]
+    results = []
+    for label, check_field, cases in checks:
+        failure = _first_failure(check_field, cases)
+        results.append(CheckResult(label, "pass") if failure is None else CheckResult(label, "fail", failure))
     results.sort(key=lambda r: r.check)
     return Report(max_n, max_k, results)
 

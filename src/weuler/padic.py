@@ -8,13 +8,13 @@ here.  Weights must satisfy |1-w|_p < 1 and p must be an odd prime.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .euler import weighted_euler_numbers
-from .ratfunc import QQ, QW, W
-from .umbral import XPolynomial
+from .ratfunc import QQ, QW, W, Polynomial
 
 # reported valuation for a deviation that is exactly zero: a true infinity is
 # unrepresentable, so stand in with a sentinel well above any honest valuation
@@ -103,12 +103,6 @@ class PadicNumber:
         if self.valuation is None:
             return self.precision
         return self.valuation + self.precision
-
-    def reported_valuation(self) -> int:
-        """Valuation, with the exact-zero sentinel M * guard."""
-        if self.valuation is None:
-            return self.precision * ZERO_VALUATION_GUARD
-        return self.valuation
 
     def _shifted_int(self, base: int, k: int) -> int:
         """Integer value of self / p^base modulo p^(k - base).
@@ -215,10 +209,8 @@ def padic_from_rational(r, p: int, M: int) -> PadicNumber:
 # Truncated fermionic sums
 
 
-def _coerce_poly(f) -> XPolynomial:
-    if isinstance(f, XPolynomial):
-        return XPolynomial(QQ, [QQ.of(c) for c in f.coeffs])
-    return XPolynomial(QQ, [Fraction(c) for c in f])
+def _coerce_poly(f) -> Polynomial:
+    return Polynomial(QQ, f.coeffs if isinstance(f, Polynomial) else f)
 
 
 def partial_sums(f, w, p: int, levels: int) -> list[Fraction]:
@@ -266,8 +258,14 @@ def exact_integral(f, w=None):
     return acc
 
 
+def _exact_text(r: Fraction) -> str:
+    """str(r) for any size: Decimal renders an int exactly, with no int_max_str_digits limit."""
+    num = str(decimal.Decimal(r.numerator))
+    return num if r.denominator == 1 else f"{num}/{decimal.Decimal(r.denominator)}"
+
+
 def _truncated_text(r: Fraction, limit: int = 48) -> str:
-    text = str(r)
+    text = _exact_text(r)
     if len(text) <= limit:
         return text
     keep = limit // 4
@@ -301,11 +299,9 @@ def _deviation_rows(sums: list[Fraction], target: Fraction, p: int, M: int) -> l
     return rows
 
 
-@dataclass
-class ConvergenceReport:
-    p: int
-    w: Fraction
-    target: Fraction
+class _LevelReport:
+    """What the two reports share: their per-level deviation rows."""
+
     rows: list[LevelRow]
 
     @property
@@ -315,6 +311,21 @@ class ConvergenceReport:
     def strictly_increasing(self) -> bool:
         v = self.valuations
         return all(b > a for a, b in zip(v, v[1:]))
+
+    def _level_lines(self, width: int) -> list[str]:
+        lines = []
+        for r in self.rows:
+            v = f">= {r.deviation_valuation}" if r.exact_zero else str(r.deviation_valuation)
+            lines.append(f"{r.level:>5}  {v:>{width}}  {_truncated_text(r.partial_sum)}")
+        return lines
+
+
+@dataclass
+class ConvergenceReport(_LevelReport):
+    p: int
+    w: Fraction
+    target: Fraction
+    rows: list[LevelRow]
 
     def to_json(self) -> dict:
         return {
@@ -327,10 +338,7 @@ class ConvergenceReport:
     def render_text(self) -> str:
         lines = [f"p = {self.p}, w = {self.w}, exact value = {_truncated_text(self.target)}"]
         lines.append(f"{'level':>5}  {'v_p(S_m - exact)':>16}  partial sum")
-        for r in self.rows:
-            v = f">= {r.deviation_valuation}" if r.exact_zero else str(r.deviation_valuation)
-            lines.append(f"{r.level:>5}  {v:>16}  {_truncated_text(r.partial_sum)}")
-        return "\n".join(lines)
+        return "\n".join(lines + self._level_lines(16))
 
 
 def convergence_report(f, w, p: int, levels: int, M: int) -> ConvergenceReport:
@@ -343,21 +351,13 @@ def convergence_report(f, w, p: int, levels: int, M: int) -> ConvergenceReport:
 
 
 @dataclass
-class ShiftReport:
+class ShiftReport(_LevelReport):
     p: int
     w: Fraction
     symbolic_ok: bool
     symbolic_difference: str
     expected: Fraction            # 2 f(0)
     rows: list[LevelRow]          # deviations D_m = w S_m(f1) + S_m(f) - 2 f(0)
-
-    @property
-    def valuations(self) -> list[int]:
-        return [r.deviation_valuation for r in self.rows]
-
-    def strictly_increasing(self) -> bool:
-        v = self.valuations
-        return all(b > a for a, b in zip(v, v[1:]))
 
     def to_json(self) -> dict:
         return {
@@ -376,10 +376,7 @@ class ShiftReport:
             f"symbolic identity w*I(f(.+1)) + I(f) = 2 f(0): {sym}",
             f"{'level':>5}  {'v_p(D_m)':>9}  combination value",
         ]
-        for r in self.rows:
-            v = f">= {r.deviation_valuation}" if r.exact_zero else str(r.deviation_valuation)
-            lines.append(f"{r.level:>5}  {v:>9}  {_truncated_text(r.partial_sum)}")
-        return "\n".join(lines)
+        return "\n".join(lines + self._level_lines(9))
 
 
 def shift_identity_check(f, w, p: int, levels: int, M: int) -> ShiftReport:

@@ -1,8 +1,10 @@
-"""Exact arithmetic: rationals, polynomials in the weight w, and the field Q(w).
+"""Exact arithmetic: rationals, dense polynomials, and the field Q(w).
 
-Scalars are ``fractions.Fraction`` throughout.  ``WRational`` keeps a unique
-canonical form (gcd-reduced, monic denominator), so ``==`` on two values
-decides equality in the field Q(w).
+Scalars are ``fractions.Fraction`` throughout.  ``Polynomial`` is the one
+dense polynomial type: in w over Q (the numerators and denominators of
+Q(w)) and in x over Q or Q(w) (the Euler polynomials).  ``WRational`` keeps
+a unique canonical form (gcd-reduced, monic denominator), so ``==`` on two
+values decides equality in the field Q(w).
 """
 
 from __future__ import annotations
@@ -37,34 +39,57 @@ def multinomial(n: int, parts) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in w over Q
+# Dense polynomials over a coefficient field
 
 
-def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
+def _strip(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
 
 
-class WPolynomial:
-    """Dense polynomial in the weight w with exact rational coefficients.
+def _make(field, coeffs: list, var: str) -> "Polynomial":
+    out = object.__new__(Polynomial)
+    out.field, out.coeffs, out.var = field, _strip(coeffs), var
+    return out
 
-    The zero polynomial has an empty coefficient tuple; otherwise the last
-    coefficient is nonzero.
+
+class Polynomial:
+    """Dense polynomial over a coefficient field adapter (``QQ`` or ``QW``).
+
+    ``coeffs[j]`` is the coefficient of ``var^j``.  The zero polynomial has
+    an empty coefficient tuple; otherwise the last coefficient is nonzero.
+    Polynomials in w (over QQ: the numerators and denominators of Q(w))
+    render descending, ``w^2 - 4*w + 1``; polynomials in x render ascending
+    through ``field.render``, ``1/2 + x^2``.
+
+    The constructor coerces every coefficient through ``field.of``.
+    Arithmetic combines coefficients that are field elements already, so
+    its results are built without coercing them again.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("field", "coeffs", "var")
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _strip([Fraction(c) for c in coeffs])
+    def __init__(self, field, coeffs=(), var: str = "x"):
+        self.field = field
+        self.coeffs = _strip([field.of(c) for c in coeffs])
+        self.var = var
+
+    def _new(self, coeffs: list) -> "Polynomial":
+        """Same field and variable; `coeffs` are field elements already."""
+        return _make(self.field, coeffs, self.var)
 
     @classmethod
-    def promote(cls, value) -> "WPolynomial":
-        if isinstance(value, WPolynomial):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls((value,))
-        raise TypeError(f"cannot promote {type(value).__name__} to WPolynomial")
+    def zero(cls, field) -> "Polynomial":
+        return cls(field, ())
+
+    @classmethod
+    def monomial(cls, field, n: int, coeff=1) -> "Polynomial":
+        return cls(field, [field.zero] * n + [coeff])
+
+    @classmethod
+    def variable(cls, field) -> "Polynomial":
+        return cls(field, (field.zero, field.one))
 
     @property
     def degree(self) -> int:
@@ -75,72 +100,86 @@ class WPolynomial:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.coeffs == (self.field.one,)
 
     @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+    def leading(self):
+        return self.coeffs[-1] if self.coeffs else self.field.zero
+
+    def coefficient(self, j: int):
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
+        return self.field.zero
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = WPolynomial.promote(other)
-        if not isinstance(other, WPolynomial):
+        if isinstance(other, Polynomial):
+            return self.var == other.var and self.coeffs == other.coeffs
+        try:
+            other = self._promote(other)
+        except (TypeError, ValueError):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __neg__(self) -> "WPolynomial":
-        return WPolynomial([-c for c in self.coeffs])
+    def _promote(self, other) -> "Polynomial":
+        """`other` over this field: a polynomial in the same variable, else a constant."""
+        if isinstance(other, Polynomial) and other.var == self.var:
+            if other.field is self.field:
+                return other
+            return Polynomial(self.field, other.coeffs, self.var)
+        return self._new([self.field.of(other)])
 
-    def __add__(self, other) -> "WPolynomial":
-        other = WPolynomial.promote(other)
-        a, b = self.coeffs, other.coeffs
+    def __neg__(self) -> "Polynomial":
+        return self._new([-c for c in self.coeffs])
+
+    def __add__(self, other) -> "Polynomial":
+        a, b = self.coeffs, self._promote(other).coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return WPolynomial(out)
+        return self._new(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "WPolynomial":
-        return self + (-WPolynomial.promote(other))
+    def __sub__(self, other) -> "Polynomial":
+        return self + (-self._promote(other))
 
-    def __rsub__(self, other) -> "WPolynomial":
-        return (-self) + WPolynomial.promote(other)
+    def __rsub__(self, other) -> "Polynomial":
+        return (-self) + other
 
-    def __mul__(self, other) -> "WPolynomial":
-        other = WPolynomial.promote(other)
-        a, b = self.coeffs, other.coeffs
+    def __mul__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self.scale(other)
+        a, b = self.coeffs, self._promote(other).coeffs
         if not a or not b:
-            return WPolynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+            return self._new([])
+        out = [self.field.zero] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return WPolynomial(out)
+                for j, cb in enumerate(b, i):
+                    if cb:
+                        out[j] += ca * cb
+        return self._new(out)
 
-    __rmul__ = __mul__
+    def scale(self, c) -> "Polynomial":
+        c = self.field.of(c)
+        if not c:
+            return self._new([])
+        return self._new([a * c for a in self.coeffs])
 
-    def scale(self, c: Fraction) -> "WPolynomial":
-        c = Fraction(c)
-        if c == 0:
-            return WPolynomial()
-        return WPolynomial([a * c for a in self.coeffs])
+    __rmul__ = scale
 
-    def __pow__(self, n: int) -> "WPolynomial":
+    def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = WPolynomial((1,))
+        out = self._new([self.field.one])
         base = self
         while n:
             if n & 1:
@@ -149,41 +188,100 @@ class WPolynomial:
             n >>= 1
         return out
 
-    def divmod(self, other: "WPolynomial") -> tuple["WPolynomial", "WPolynomial"]:
+    def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
         rem = list(self.coeffs)
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
-            return WPolynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading
+            return self._new([]), self
+        quot = [self.field.zero] * (dq + 1)
+        inv_lead = self.field.one / other.leading
         for i in range(dq, -1, -1):
             c = rem[i + other.degree] * inv_lead
             if c:
                 quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return WPolynomial(quot), WPolynomial(rem)
+                for j, b in enumerate(other.coeffs, i):
+                    rem[j] -= c * b
+        return self._new(quot), self._new(rem)
 
-    def divexact(self, other: "WPolynomial") -> "WPolynomial":
+    def divexact(self, other: "Polynomial") -> "Polynomial":
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ValueError(f"inexact polynomial division by {other}")
         return q
 
-    def eval_at(self, w0) -> Fraction:
-        w0 = Fraction(w0)
-        acc = Fraction(0)
+    def eval_at(self, value):
+        value = self.field.of(value)
+        acc = self.field.zero
         for c in reversed(self.coeffs):
-            acc = acc * w0 + c
+            acc = acc * value + c
         return acc
 
+    def derivative(self) -> "Polynomial":
+        return self._new([j * c for j, c in enumerate(self.coeffs[1:], 1)])
+
+    def substitute(self, inner: "Polynomial") -> "Polynomial":
+        """p(inner) by Horner."""
+        acc = self._new([])
+        for c in reversed(self.coeffs):
+            acc = acc * inner + c
+        return acc
+
+    def shifted(self, y) -> "Polynomial":
+        """p(var + y)."""
+        return self.substitute(self._new([self.field.of(y), self.field.one]))
+
     def __str__(self) -> str:
-        return poly_text(self.coeffs)
+        if self.var == "w":
+            return poly_text(self.coeffs)
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for j, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            text = self.field.render(c)
+            if j == 0:
+                parts.append(text)
+            else:
+                if " + " in text or " - " in text:
+                    text = f"({text})"
+                xj = self.var if j == 1 else f"{self.var}^{j}"
+                parts.append(xj if text == "1" else f"{text}*{xj}")
+        return " + ".join(parts)
 
     def __repr__(self) -> str:
-        return f"WPolynomial({list(self.coeffs)!r})"
+        return f"Polynomial[{self.field.name}]({self})"
+
+    def to_json(self) -> list[str]:
+        return [self.field.render(c) for c in self.coeffs]
+
+    def latex(self) -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for j in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[j]
+            if not c:
+                continue
+            ctex = self.field.latex(c)
+            if j == 0:
+                body = ctex
+            else:
+                xj = self.var if j == 1 else f"{self.var}^{{{j}}}"
+                body = xj if ctex == "1" else f"{ctex} {xj}"
+            parts.append(body)
+        return " + ".join(parts)
+
+
+# the name polynomials in w are known by; umbral.XPolynomial is the same class
+WPolynomial = Polynomial
+
+
+def _wpoly(coeffs) -> Polynomial:
+    """Polynomial in w over Q from coefficients that are Fractions already."""
+    return _make(QQ, list(coeffs), "w")
 
 
 def poly_text(coeffs, var: str = "w") -> str:
@@ -223,7 +321,7 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
-def _to_int_primitive(p: WPolynomial) -> list[int]:
+def _to_int_primitive(p: Polynomial) -> list[int]:
     if p.is_zero():
         return []
     den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
@@ -252,18 +350,17 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def poly_gcd(a: WPolynomial, b: WPolynomial) -> WPolynomial:
+def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd in Q[w]."""
     if a.is_zero() and b.is_zero():
-        return WPolynomial()
+        return _wpoly(())
     A, B = _to_int_primitive(a), _to_int_primitive(b)
     while B:
         A, B = B, _int_primitive(_int_prem(A, B))
-    lead = Fraction(A[-1])
-    return WPolynomial([Fraction(c) / lead for c in A])
+    return _wpoly(Fraction(c, A[-1]) for c in A)
 
 
-def _poly_content(p: WPolynomial) -> Fraction:
+def _poly_content(p: Polynomial) -> Fraction:
     """Rational content carrying the sign of the leading coefficient."""
     if p.is_zero():
         return Fraction(0)
@@ -289,11 +386,11 @@ def _one_plus_w_row(m: int) -> tuple[Fraction, ...]:
     return row
 
 
-def one_plus_w_pow(m: int) -> WPolynomial:
-    return WPolynomial(_one_plus_w_row(m))
+def one_plus_w_pow(m: int) -> Polynomial:
+    return _wpoly(_one_plus_w_row(m))
 
 
-def _as_one_plus_w_power(p: WPolynomial) -> int | None:
+def _as_one_plus_w_power(p: Polynomial) -> int | None:
     """m such that p == (1 + w)^m with m >= 1, else None."""
     m = p.degree
     if m < 1 or p.coeffs[0] != 1 or p.leading != 1:
@@ -301,7 +398,61 @@ def _as_one_plus_w_power(p: WPolynomial) -> int | None:
     return m if p.coeffs == _one_plus_w_row(m) else None
 
 
-_W_PLUS_ONE = WPolynomial((1, 1))
+# ---------------------------------------------------------------------------
+# Coefficient-field adapters shared by the polynomial and series layers.
+# `of` coerces a value into the field; it returns field elements unchanged.
+
+
+class RationalField:
+    """Plain rationals Q (elements are fractions.Fraction)."""
+
+    name = "Q"
+    zero = Fraction(0)
+    one = Fraction(1)
+
+    @staticmethod
+    def of(value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, WRational):
+            if not value.is_polynomial() or value.num.degree > 0:
+                raise ValueError(f"{value} is not a rational constant")
+            return value.num.eval_at(0)
+        return Fraction(value)
+
+    @staticmethod
+    def parse(text: str) -> Fraction:
+        return Fraction(text)
+
+    @staticmethod
+    def render(value) -> str:
+        return str(value)
+
+    @staticmethod
+    def latex(value: Fraction) -> str:
+        if value.denominator == 1:
+            return str(value.numerator)
+        sign = "-" if value < 0 else ""
+        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+
+
+QQ = RationalField()
+
+
+# ---------------------------------------------------------------------------
+# The field Q(w)
+
+_W_ZERO = _wpoly(())
+_W_ONE = _wpoly((Fraction(1),))
+_W_PLUS_ONE = _wpoly((Fraction(1), Fraction(1)))
+
+
+def _as_wpoly(value) -> Polynomial:
+    if isinstance(value, Polynomial) and value.var == "w":
+        return value
+    if isinstance(value, (int, Fraction)):
+        return _wpoly((Fraction(value),))
+    raise TypeError(f"cannot promote {type(value).__name__} to a polynomial in w")
 
 
 class WRational:
@@ -314,17 +465,17 @@ class WRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        num = WPolynomial.promote(num)
-        den = WPolynomial.promote(den)
+        num = _as_wpoly(num)
+        den = _as_wpoly(den)
         if den.is_zero():
             raise ZeroDivisionError("division by zero")
         if num.is_zero():
-            self.num, self.den = WPolynomial(), WPolynomial((1,))
+            self.num, self.den = _W_ZERO, _W_ONE
             return
         if den.degree == 0:
             if den.leading != 1:
                 num = num.scale(1 / den.leading)
-            self.num, self.den = num, WPolynomial((1,))
+            self.num, self.den = num, _W_ONE
             return
         m = _as_one_plus_w_power(den)
         if m is not None:
@@ -333,7 +484,7 @@ class WRational:
                 num = num.divexact(_W_PLUS_ONE)
                 m -= 1
             self.num = num
-            self.den = one_plus_w_pow(m) if m else WPolynomial((1,))
+            self.den = one_plus_w_pow(m) if m else _W_ONE
             return
         g = poly_gcd(num, den)
         if g.degree > 0:
@@ -350,7 +501,7 @@ class WRational:
     def promote(cls, value) -> "WRational":
         if isinstance(value, WRational):
             return value
-        if isinstance(value, (int, Fraction, WPolynomial)):
+        if isinstance(value, (int, Fraction)) or (isinstance(value, Polynomial) and value.var == "w"):
             return cls(value)
         raise TypeError(f"cannot promote {type(value).__name__} to WRational")
 
@@ -498,13 +649,13 @@ def latex_poly(coeffs, var: str = "w") -> str:
     return " ".join(parts)
 
 
-def _numerator_text(num: WPolynomial, parenthesize_sums: bool) -> str:
+def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:
     # factored form: content * w^m * primitive, e.g. 2*w*(w - 1)
     content = _poly_content(num)
     reduced = num.scale(1 / content)
     m = 0
     while reduced.coeffs and reduced.coeffs[0] == 0:
-        reduced = WPolynomial(reduced.coeffs[1:])
+        reduced = reduced._new(list(reduced.coeffs[1:]))
         m += 1
     factors: list[str] = []
     mag = abs(content)
@@ -524,7 +675,7 @@ def _numerator_text(num: WPolynomial, parenthesize_sums: bool) -> str:
     return f"-{text}" if content < 0 else text
 
 
-def _denominator_text(den: WPolynomial) -> str:
+def _denominator_text(den: Polynomial) -> str:
     m = _as_one_plus_w_power(den)
     if m is not None:
         return "(1 + w)" if m == 1 else f"(1 + w)^{m}"
@@ -622,7 +773,7 @@ class _WRatParser:
             return WRational(t.value)
         if t.kind == "w":
             self.take()
-            return WRational(WPolynomial((0, 1)))
+            return W
         if t.kind == "(":
             self.take()
             inner = self.expr()
@@ -638,42 +789,7 @@ def _parse_wrational(text: str) -> WRational:
     return out
 
 
-W = WRational(WPolynomial((0, 1)))
-
-
-# ---------------------------------------------------------------------------
-# Coefficient-field adapters shared by the series / polynomial layers
-
-
-class RationalField:
-    """Plain rationals Q (elements are fractions.Fraction)."""
-
-    name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def of(value) -> Fraction:
-        if isinstance(value, WRational):
-            if not value.is_polynomial() or value.num.degree > 0:
-                raise ValueError(f"{value} is not a rational constant")
-            return value.num.eval_at(0)
-        return Fraction(value)
-
-    @staticmethod
-    def parse(text: str) -> Fraction:
-        return Fraction(text)
-
-    @staticmethod
-    def render(value) -> str:
-        return str(value)
-
-    @staticmethod
-    def latex(value: Fraction) -> str:
-        if value.denominator == 1:
-            return str(value.numerator)
-        sign = "-" if value < 0 else ""
-        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+W = WRational(_wpoly((Fraction(0), Fraction(1))))
 
 
 class WRationalField:
@@ -700,5 +816,4 @@ class WRationalField:
         return value.latex()
 
 
-QQ = RationalField()
 QW = WRationalField()

@@ -16,6 +16,12 @@ from fractions import Fraction
 
 
 class Series:
+    """Coefficients c_0..c_{N-1} over `field` with precision N.
+
+    The constructor coerces every coefficient through ``field.of``;
+    arithmetic builds its results from field elements with ``_make``.
+    """
+
     __slots__ = ("field", "coeffs", "precision")
 
     def __init__(self, field, coeffs, precision: int | None = None):
@@ -24,6 +30,9 @@ class Series:
             precision = len(coeffs)
         if precision < 1:
             raise ValueError("precision must be at least 1")
+        self._fill(field, coeffs, precision)
+
+    def _fill(self, field, coeffs: list, precision: int) -> None:
         if len(coeffs) < precision:
             coeffs.extend([field.zero] * (precision - len(coeffs)))
         else:
@@ -31,6 +40,13 @@ class Series:
         self.field = field
         self.coeffs = tuple(coeffs)
         self.precision = precision
+
+    @classmethod
+    def _make(cls, field, coeffs: list, precision: int) -> "Series":
+        """Series from coefficients that are field elements already."""
+        out = object.__new__(cls)
+        out._fill(field, coeffs, precision)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -87,7 +103,7 @@ class Series:
             raise ValueError(f"cannot extend precision {self.precision} to {precision}")
         if precision == self.precision:
             return self
-        return Series(self.field, self.coeffs[:precision], precision)
+        return Series._make(self.field, list(self.coeffs[:precision]), precision)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Series):
@@ -108,26 +124,26 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.precision, other.precision)
-        return Series(self.field, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
+        return Series._make(self.field, [a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
 
     def __sub__(self, other) -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         n = min(self.precision, other.precision)
-        return Series(self.field, [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
+        return Series._make(self.field, [a - b for a, b in zip(self.coeffs[:n], other.coeffs[:n])], n)
 
     def __neg__(self) -> "Series":
-        return Series(self.field, [-a for a in self.coeffs], self.precision)
+        return Series._make(self.field, [-a for a in self.coeffs], self.precision)
 
     def scale(self, c) -> "Series":
         c = self.field.of(c)
-        return Series(self.field, [a * c for a in self.coeffs], self.precision)
+        return Series._make(self.field, [a * c for a in self.coeffs], self.precision)
 
     def add_constant(self, c) -> "Series":
         c = self.field.of(c)
         coeffs = list(self.coeffs)
         coeffs[0] = coeffs[0] + c
-        return Series(self.field, coeffs, self.precision)
+        return Series._make(self.field, coeffs, self.precision)
 
     def __mul__(self, other) -> "Series":
         if not isinstance(other, Series):
@@ -142,7 +158,7 @@ class Series:
                 b = other.coeffs[j]
                 if b != zero:
                     out[i + j] = out[i + j] + a * b
-        return Series(self.field, out, n)
+        return Series._make(self.field, out, n)
 
     def __rmul__(self, other) -> "Series":
         return self.scale(other)
@@ -152,7 +168,7 @@ class Series:
         if k == 0:
             return self
         coeffs = [self.field.zero] * k + list(self.coeffs[: self.precision - k])
-        return Series(self.field, coeffs, self.precision)
+        return Series._make(self.field, coeffs, self.precision)
 
     def __pow__(self, n: int) -> "Series":
         if n < 0:
@@ -182,7 +198,7 @@ class Series:
                 if ck != self.field.zero:
                     acc = acc + ck * out[n - k]
             out.append(-inv0 * acc)
-        return Series(self.field, out, self.precision)
+        return Series._make(self.field, out, self.precision)
 
     def compose(self, inner: "Series") -> "Series":
         """self(inner(t)); inner must have zero constant term."""
@@ -208,16 +224,16 @@ class Series:
         inv_c1 = self.field.one / self.coeffs[1]
         b = [zero, inv_c1]
         for n in range(2, self.precision):
-            partial = Series(self.field, b, n + 1)
+            partial = Series._make(self.field, list(b), n + 1)
             comp = self.truncate(n + 1).compose(partial)
             b.append(-comp.coeffs[n] * inv_c1)
-        return Series(self.field, b, self.precision)
+        return Series._make(self.field, b, self.precision)
 
     def derivative(self) -> "Series":
         """Termwise derivative; the precision drops by one."""
         if self.precision < 2:
             raise ValueError("derivative needs precision at least 2")
-        return Series(
+        return Series._make(
             self.field,
             [(k + 1) * self.coeffs[k + 1] for k in range(self.precision - 1)],
             self.precision - 1,
@@ -245,10 +261,6 @@ class Series:
     def to_json(self) -> list[str]:
         """Exact coefficients as strings, index = power of t."""
         return [self.field.render(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, field, data, precision: int | None = None) -> "Series":
-        return cls(field, [field.parse(s) for s in data], precision)
 
 
 def _wrap(text: str) -> str:

@@ -12,194 +12,26 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from .ratfunc import Polynomial
 from .series import Series
 
 
-class XPolynomial:
-    """Polynomial in x over a coefficient field, trailing zeros stripped."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs=()):
-        cs = [field.of(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls, field) -> "XPolynomial":
-        return cls(field, ())
-
-    @classmethod
-    def monomial(cls, field, n: int, coeff=1) -> "XPolynomial":
-        return cls(field, [field.zero] * n + [field.of(coeff)])
-
-    @classmethod
-    def variable(cls, field) -> "XPolynomial":
-        return cls(field, (field.zero, field.one))
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial sits at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, j: int):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return self.field.zero
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, XPolynomial):
-            return self.coeffs == other.coeffs
-        try:
-            other = self.field.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        if other == self.field.zero:
-            return self.is_zero()
-        return self.coeffs == (other,)
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other) -> "XPolynomial":
-        other = self._promote(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return XPolynomial(self.field, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "XPolynomial":
-        return XPolynomial(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "XPolynomial":
-        return self + (-self._promote(other))
-
-    def __rsub__(self, other) -> "XPolynomial":
-        return (-self) + self._promote(other)
-
-    def __mul__(self, other) -> "XPolynomial":
-        if not isinstance(other, XPolynomial):
-            return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return XPolynomial.zero(self.field)
-        zero = self.field.zero
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca != zero:
-                for j, cb in enumerate(b):
-                    if cb != zero:
-                        out[i + j] = out[i + j] + ca * cb
-        return XPolynomial(self.field, out)
-
-    def __rmul__(self, other) -> "XPolynomial":
-        return self.scale(other)
-
-    def scale(self, c) -> "XPolynomial":
-        c = self.field.of(c)
-        return XPolynomial(self.field, [a * c for a in self.coeffs])
-
-    def __pow__(self, n: int) -> "XPolynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = XPolynomial(self.field, (self.field.one,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def _promote(self, other) -> "XPolynomial":
-        if isinstance(other, XPolynomial):
-            return other
-        return XPolynomial(self.field, (self.field.of(other),))
-
-    def derivative(self) -> "XPolynomial":
-        return XPolynomial(self.field, [(j + 1) * self.coeffs[j + 1] for j in range(len(self.coeffs) - 1)])
-
-    def eval_at(self, value):
-        value = self.field.of(value)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def substitute(self, inner: "XPolynomial") -> "XPolynomial":
-        """p(inner(x)) by Horner."""
-        acc = XPolynomial.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + c
-        return acc
-
-    def shifted(self, y) -> "XPolynomial":
-        """p(x + y)."""
-        return self.substitute(XPolynomial(self.field, (self.field.of(y), self.field.one)))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == self.field.zero:
-                continue
-            text = self.field.render(c)
-            if j == 0:
-                parts.append(text)
-            else:
-                if " + " in text or " - " in text:
-                    text = f"({text})"
-                xj = "x" if j == 1 else f"x^{j}"
-                parts.append(xj if text == "1" else f"{text}*{xj}")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"XPolynomial({str(self)})"
-
-    def to_json(self) -> list[str]:
-        return [self.field.render(c) for c in self.coeffs]
-
-    def latex(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c == self.field.zero:
-                continue
-            ctex = self.field.latex(c)
-            if j == 0:
-                body = ctex
-            else:
-                xj = var if j == 1 else f"{var}^{{{j}}}"
-                body = xj if ctex == "1" else f"{ctex} {xj}"
-            parts.append(body)
-        return " + ".join(parts)
+# the name polynomials in x are known by; ratfunc.WPolynomial is the same class
+XPolynomial = Polynomial
 
 
 # ---------------------------------------------------------------------------
 # Functional action
 
 
-def _require_precision(f: Series, p: XPolynomial) -> None:
+def _require_precision(f: Series, p: Polynomial) -> None:
     if f.precision <= p.degree:
         raise ValueError(
             f"series precision {f.precision} is insufficient: need more than degree {p.degree}"
         )
 
 
-def pairing(f: Series, p: XPolynomial):
+def pairing(f: Series, p: Polynomial):
     """<f | p> = sum_j p_j j! c_j(f)."""
     _require_precision(f, p)
     acc = f.field.zero
@@ -209,10 +41,10 @@ def pairing(f: Series, p: XPolynomial):
     return acc
 
 
-def apply_functional(f: Series, p: XPolynomial) -> XPolynomial:
+def apply_functional(f: Series, p: Polynomial) -> Polynomial:
     """f(t) acting on p: sum_k c_k(f) p^(k)(x); t^k differentiates k times."""
     _require_precision(f, p)
-    acc = XPolynomial.zero(p.field)
+    acc = Polynomial.zero(p.field)
     deriv = p
     for k in range(p.degree + 1):
         ck = f.coeffs[k]
@@ -236,7 +68,7 @@ class ShefferPair:
         self.f = f
 
 
-def appell_basis(g: Series, count: int) -> list[XPolynomial]:
+def appell_basis(g: Series, count: int) -> list[Polynomial]:
     """S_n = g(t)^{-1} x^n for n < count; satisfies S_n' = n S_{n-1}."""
     if g.order() != 0:
         raise ValueError("Appell basis needs an invertible series")
@@ -244,10 +76,10 @@ def appell_basis(g: Series, count: int) -> list[XPolynomial]:
         raise ValueError(f"precision {g.precision} too small for {count} basis polynomials")
     inv = g.inverse()
     field = g.field
-    return [apply_functional(inv, XPolynomial.monomial(field, n)) for n in range(count)]
+    return [apply_functional(inv, Polynomial.monomial(field, n)) for n in range(count)]
 
 
-def sheffer_basis(pair: ShefferPair, count: int) -> list[XPolynomial]:
+def sheffer_basis(pair: ShefferPair, count: int) -> list[Polynomial]:
     """Sheffer sequence of (g, f) via the generating identity.
 
     S_n is n! times the t^n coefficient of e^{y fbar(t)} / g(fbar(t)),
@@ -260,7 +92,7 @@ def sheffer_basis(pair: ShefferPair, count: int) -> list[XPolynomial]:
         raise ValueError(f"precisions must be at least {count}")
     field = pair.g.field
     if count == 1:
-        return [XPolynomial(field, (pair.g.coeffs[0] ** -1,))]
+        return [Polynomial(field, (pair.g.coeffs[0] ** -1,))]
     fbar = pair.f.truncate(count).reverse()
     h = pair.g.truncate(count).compose(fbar).inverse()
     # columns[m] = coefficients of h * fbar^m; fbar^m has order m, so the
@@ -274,18 +106,18 @@ def sheffer_basis(pair: ShefferPair, count: int) -> list[XPolynomial]:
     for n in range(count):
         n_fact = math.factorial(n)
         coeffs = [columns[m][n] * Fraction(n_fact, math.factorial(m)) for m in range(n + 1)]
-        basis.append(XPolynomial(field, coeffs))
+        basis.append(Polynomial(field, coeffs))
     return basis
 
 
-def biorthogonality_check(pair: ShefferPair, basis: Sequence[XPolynomial], n: int, k: int):
+def biorthogonality_check(pair: ShefferPair, basis: Sequence[Polynomial], n: int, k: int):
     """<g f^k | S_n>, which equals n! delta_{n,k} on the true Sheffer basis."""
     if n >= len(basis) or k >= len(basis):
         raise ValueError("indices beyond the provided basis")
     return pairing(pair.g * pair.f ** k, basis[n])
 
 
-def expand_in_basis(p: XPolynomial, pair: ShefferPair, basis: Sequence[XPolynomial]):
+def expand_in_basis(p: Polynomial, pair: ShefferPair, basis: Sequence[Polynomial]):
     """Coefficients lambda_k = <g f^k | p> / k! of p in the Sheffer basis."""
     if len(basis) <= p.degree:
         raise ValueError(f"need at least {p.degree + 1} basis polynomials, have {len(basis)}")
@@ -323,7 +155,7 @@ def multinomial_pairing(fs: Sequence[Series], n: int):
     product = fs[0]
     for f in fs[1:]:
         product = product * f
-    xn = XPolynomial.monomial(field, n)
+    xn = Polynomial.monomial(field, n)
     lhs = pairing(product, xn)
     n_fact = math.factorial(n)
     rhs = field.zero
@@ -333,6 +165,6 @@ def multinomial_pairing(fs: Sequence[Series], n: int):
             weight //= math.factorial(i)
         term = field.of(weight)
         for f, i in zip(fs, parts):
-            term = term * pairing(f, XPolynomial.monomial(field, i))
+            term = term * pairing(f, Polynomial.monomial(field, i))
         rhs = rhs + term
     return lhs, rhs

@@ -139,6 +139,41 @@ class TestPadic:
         payload = run_json(capsys, self.ARGS[:5] + ["--poly", "0,1/2,3"] + self.ARGS[7:])
         assert payload["poly"] == ["0", "1/2", "3"]
 
+    # At p = 7, w = 8, f = 1 the level-5 partial sum S_5 = (1 + 8^(7^5))/9 has
+    # 15178 digits, past Python's default int_max_str_digits of 4300.
+    BIG = ["padic", "--p", "7", "--w", "8", "--poly", "1", "--levels", "5", "--prec", "12"]
+
+    @staticmethod
+    def digits_text(n: int, keep: int = 12) -> str:
+        """Truncated text of a large positive integer, by integer arithmetic only."""
+        d = int(n.bit_length() * 0.30103)
+        while 10 ** d <= n:
+            d += 1
+        while 10 ** (d - 1) > n:
+            d -= 1
+        return f"{n // 10 ** (d - keep)}...{n % 10 ** keep:0{keep}d} ({d} chars)"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_partial_sums_past_int_str_limit(self, capsys, fmt):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)   # Python >= 3.11
+        before = limit()
+        s5 = (1 + 8 ** 7 ** 5) // 9
+        combo = 9 * s5          # w S_5(f(.+1)) + S_5(f) with f(.+1) = f = 1
+        out = run(capsys, self.BIG + ["--format", fmt])
+        assert limit() == before
+        if fmt == "json":
+            payload = json.loads(out)
+            jsonschema.validate(payload, SCHEMA)
+            conv, shift = payload["convergence"]["levels"], payload["shift"]["levels"]
+            assert [row["valuation"] for row in conv] == [2, 3, 4, 5, 6]
+            assert [row["valuation"] for row in shift] == [2, 3, 4, 5, 6]
+            assert conv[4]["partial_sum"] == self.digits_text(s5)
+            assert shift[4]["partial_sum"] == self.digits_text(combo)
+        else:
+            lines = out.splitlines()
+            assert f"    5                 6  {self.digits_text(s5)}" in lines
+            assert f"    5          6  {self.digits_text(combo)}" in lines
+
     def test_even_p_rejected(self, capsys):
         run(capsys, ["padic", "--p", "4", "--w", "1", "--poly", "1", "--levels", "2", "--prec", "8"],
             expect=EXIT_USAGE)

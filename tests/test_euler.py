@@ -235,6 +235,59 @@ class TestVerifySuite:
         assert "FAIL" in text and text.endswith("result: FAILURES PRESENT")
         assert "difference" in text
 
+    # Full reports of two faults pin the shared first-failure loop of every check.
+    # An order-2 fault is found at k = 2 by (g), (h) and (i); an order-1 fault
+    # reaches every check except (a), and (i) first fails at k = 2.
+    ORDER_2_FAULT = (
+        "verification suite: maxN=6 maxK=2\n"
+        "(a) lowering                    PASS\n"
+        "(b) appell inversion            PASS\n"
+        "(c) operator recurrence         PASS\n"
+        "(d) reflection                  PASS\n"
+        "(e) functional representation   PASS\n"
+        "(f) operator representation     PASS\n"
+        "(g) order-k functional          FAIL\n"
+        "                                at n=3, k=2: difference = -1\n"
+        "(h) order-k binomial form       FAIL\n"
+        "                                at n=3, k=2: difference = 1\n"
+        "(i) multinomial                 FAIL\n"
+        "                                at n=3, k=2: difference = 1\n"
+        "(j) basis expansion of the GF   PASS\n"
+        "(k) classical reduction at w=1  PASS\n"
+        "result: FAILURES PRESENT"
+    )
+    ORDER_1_FAULT = (
+        "verification suite: maxN=6 maxK=2\n"
+        "(a) lowering                    PASS\n"
+        "(b) appell inversion            FAIL\n"
+        "                                at n=3, k=1: difference = (w + 1)/2\n"
+        "(c) operator recurrence         FAIL\n"
+        "                                at n=2, k=1: difference = 1\n"
+        "(d) reflection                  FAIL\n"
+        "                                at n=3, k=1: difference = w + 1\n"
+        "(e) functional representation   FAIL\n"
+        "                                at n=3, k=1: difference = -1\n"
+        "(f) operator representation     FAIL\n"
+        "                                at n=3, k=1: difference = -1\n"
+        "(g) order-k functional          FAIL\n"
+        "                                at n=3, k=1: difference = -1\n"
+        "(h) order-k binomial form       FAIL\n"
+        "                                at n=3, k=1: difference = 1\n"
+        "(i) multinomial                 FAIL\n"
+        "                                at n=3, k=2: difference = -4/(1 + w)\n"
+        "(j) basis expansion of the GF   FAIL\n"
+        "                                at n=3, k=1: difference = 1/6\n"
+        "(k) classical reduction at w=1  FAIL\n"
+        "                                at n=3, k=1: difference = 1\n"
+        "result: FAILURES PRESENT"
+    )
+
+    @pytest.mark.parametrize("order, expected", [(2, ORDER_2_FAULT), (1, ORDER_1_FAULT)],
+                             ids=["order2", "order1"])
+    def test_first_failure_report_pinned(self, order, expected):
+        tables = {order: EulerTable.build(6, order).with_perturbed_number(3)}
+        assert verify_paper_suite(6, 2, tables=tables).render_text() == expected
+
 
 class TestLatex:
     def test_numbers_rows(self):

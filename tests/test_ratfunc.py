@@ -31,7 +31,7 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 def polys(max_degree=3):
     return st.lists(small_fracs, min_size=1, max_size=max_degree + 1).map(
-        lambda cs: WPolynomial(tuple(cs))
+        lambda cs: WPolynomial(QQ, tuple(cs), "w")
     )
 
 
@@ -164,8 +164,8 @@ class TestEvaluation:
 
 class TestPolynomialHelpers:
     def test_poly_gcd_primitive(self):
-        a = WPolynomial((frac(-1), frac(0), frac(1)))  # w^2 - 1
-        b = WPolynomial((frac(2), frac(2)))  # 2w + 2
+        a = WPolynomial(QQ, (frac(-1), frac(0), frac(1)), "w")  # w^2 - 1
+        b = WPolynomial(QQ, (frac(2), frac(2)), "w")  # 2w + 2
         g = poly_gcd(a, b)
         assert str(g) == "w + 1"
 
@@ -174,8 +174,8 @@ class TestPolynomialHelpers:
         assert one_plus_w_pow(0).is_one()
 
     def test_divmod(self):
-        a = WPolynomial((frac(-1), frac(0), frac(1)))
-        q, r = a.divmod(WPolynomial((frac(1), frac(1))))
+        a = WPolynomial(QQ, (frac(-1), frac(0), frac(1)), "w")
+        q, r = a.divmod(WPolynomial(QQ, (frac(1), frac(1)), "w"))
         assert str(q) == "w - 1" and r.is_zero()
 
 
@@ -204,3 +204,43 @@ class TestQQAdapter:
         assert QQ.latex(frac(-7, 3)) == r"-\frac{7}{3}"
         assert QQ.of(frac(5)) == frac(5)
         assert QQ.zero == 0 and QQ.one == 1
+
+
+class TestOnePolynomialType:
+    """Polynomials in w and in x are one class; results stay in the field."""
+
+    def test_one_class(self):
+        import weuler.ratfunc
+        import weuler.umbral
+
+        assert weuler.ratfunc.WPolynomial is weuler.umbral.XPolynomial
+        assert weuler.ratfunc.WPolynomial is weuler.ratfunc.Polynomial
+
+    @staticmethod
+    def scalars(field):
+        if field is QQ:
+            return st.one_of(st.integers(-3, 3), small_fracs)
+        return st.one_of(
+            st.integers(-3, 3),
+            small_fracs,
+            st.builds(lambda a, b: QW.of(a) * W + b, small_fracs, small_fracs),
+            st.builds(lambda a, b: (W - a) / (W + ONE) ** b, small_fracs, st.integers(1, 2)),
+        )
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_field_elements(self, data):
+        field = data.draw(st.sampled_from([QQ, QW]))
+        element_type = Fraction if field is QQ else WRational
+        scalars = self.scalars(field)
+        poly = st.lists(scalars, max_size=4).map(lambda cs: WPolynomial(field, cs))
+        p, q = data.draw(poly), data.draw(poly)
+        c = data.draw(scalars)
+        results = [
+            p, p + q, p - q, p * q, p + c, c + p, p - c, c - p, p * c, c * p,
+            p.scale(c), p.derivative(), p.shifted(c), -p,
+        ]
+        for r in results:
+            assert r.field is field
+            assert all(type(coeff) is element_type for coeff in r.coeffs), r
+            assert not r.coeffs or r.coeffs[-1] != field.zero

@@ -1,7 +1,8 @@
 """Command-line interface: tables, verification suite, corpus checks, p-adic runs.
 
 Exit codes: 0 success or all-pass, 1 identity violation, 2 usage or parse
-error, 3 runtime evaluation error.  Output is deterministic; the default
+error, 3 runtime error (an evaluation error, or any failure after the
+arguments were accepted).  Output is deterministic; the default
 format comes from WEULER_FORMAT (text unless overridden).
 """
 
@@ -23,6 +24,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+
+class UsageError(Exception):
+    """An argument was rejected before any computation started (exit 2)."""
 
 
 def _default_format() -> str:
@@ -98,13 +103,13 @@ def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{what} must be a rational like 4 or -1/2, got {text!r}")
+        raise UsageError(f"{what} must be a rational like 4 or -1/2, got {text!r}")
 
 
 def _resolve_format(args) -> str:
     fmt = args.format if args.format else _default_format()
     if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
+        raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
     return fmt
 
 
@@ -125,12 +130,12 @@ def _table_json(table: EulerTable, command: str, max_n: int) -> dict:
 def _run_table(args, command: str) -> int:
     fmt = _resolve_format(args)
     if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
+        raise UsageError("--max-n must be at least 1")
     if args.order < 1:
-        raise ValueError("--order must be at least 1")
+        raise UsageError("--order must be at least 1")
     w = None if args.w is None else _parse_rational(args.w, "--w")
     if w == -1:
-        raise ValueError("w = -1 is a pole of the generating function")
+        raise UsageError("w = -1 is a pole of the generating function")
     table = EulerTable.build(args.max_n, args.order, w=w)
     if fmt == "json":
         text = json.dumps(_table_json(table, command, args.max_n), indent=2)
@@ -147,7 +152,7 @@ def _run_table(args, command: str) -> int:
 def _run_verify(args) -> int:
     fmt = _resolve_format(args)
     if args.max_n < 2 or args.max_k < 1:
-        raise ValueError("need --max-n >= 2 and --max-k >= 1")
+        raise UsageError("need --max-n >= 2 and --max-k >= 1")
     report = verify_paper_suite(args.max_n, args.max_k)
     if fmt == "json":
         payload = {
@@ -170,13 +175,13 @@ def _run_verify(args) -> int:
 def _run_check(args) -> int:
     fmt = _resolve_format(args)
     if args.max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
+        raise UsageError("--max-n must be nonnegative")
     try:
         with open(args.file, "r", encoding="utf-8") as handle:
             corpus = handle.read()
     except OSError as exc:
-        raise ValueError(f"cannot read {args.file}: {exc.strerror}")
-    ctx = TableContext(max_index=args.max_n, max_order=1, auto_extend=True)
+        raise UsageError(f"cannot read {args.file}: {exc.strerror}")
+    ctx = TableContext(max_index=args.max_n)
     verdicts = check_corpus(corpus, ctx, max_n=args.max_n)
     if fmt == "json":
         payload = {
@@ -204,13 +209,13 @@ def _run_check(args) -> int:
 def _run_padic(args) -> int:
     fmt = _resolve_format(args)
     if not is_odd_prime(args.p):
-        raise ValueError(f"--p must be an odd prime, got {args.p}")
+        raise UsageError(f"--p must be an odd prime, got {args.p}")
     w = _parse_rational(args.w, "--w")
     if not is_admissible_weight(w, args.p):
-        raise ValueError(f"weight w = {w} requires |1-w|_p < 1 for p = {args.p}")
+        raise UsageError(f"weight w = {w} requires |1-w|_p < 1 for p = {args.p}")
     coeffs = [_parse_rational(c, "--poly entry") for c in args.poly.split(",")]
     if args.levels < 1 or args.prec < 1:
-        raise ValueError("--levels and --prec must be at least 1")
+        raise UsageError("--levels and --prec must be at least 1")
     convergence = convergence_report(coeffs, w, args.p, args.levels, args.prec)
     shift = shift_identity_check(coeffs, w, args.p, args.levels, args.prec)
     if fmt == "json":
@@ -249,9 +254,9 @@ def main(argv=None) -> int:
             return _run_check(args)
         if args.subcommand == "padic":
             return _run_padic(args)
-    except ValueError as exc:
+    except UsageError as exc:
         return _usage_error(str(exc))
-    except Exception as exc:   # exact arithmetic failed at runtime
+    except Exception as exc:   # the arguments were accepted; the computation failed
         print(f"weuler: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return _usage_error(f"unknown subcommand {args.subcommand!r}")

@@ -1,7 +1,7 @@
 """A small identity language for the weighted Euler family.
 
 One identity per line: `forall n in 0..8 : expr = expr`, with nodes for
-literals, w, x, E(index[, x+shift]), Ek(order, index[, x+shift]),
+literals, w, x, Ek(order, index[, x+shift]) and its order-1 form E(...),
 binom(i, j), sum(i = lo..hi, body), +, -, * and ^.  Index expressions are
 integer-linear in the bound variables; there is no division operator
 (rational constants are written as literals like 1/2).  Both sides evaluate
@@ -10,12 +10,13 @@ to polynomials in x over Q(w) and are compared in canonical form.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .euler import EulerTable
-from .ratfunc import QW, W, Polynomial, binomial
+from .ratfunc import QW, W, Polynomial, binomial, join_signed
 
 KEYWORDS = {"forall", "in", "sum", "binom", "E", "Ek", "w", "x"}
 
@@ -25,7 +26,6 @@ class DslParseError(ValueError):
         super().__init__(f"syntax error at {line}:{column}, {message}")
         self.line = line
         self.column = column
-        self.reason = message
 
 
 class DslEvalError(ValueError):
@@ -110,18 +110,15 @@ class IndexExpr:
         return total
 
     def render(self) -> str:
-        parts = []
+        terms = []
         for coef, var in self.terms:
             mag = abs(coef)
             if var is None:
                 body = str(mag)
             else:
                 body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if coef >= 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coef >= 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
+            terms.append((coef < 0, body))
+        return join_signed(terms)
 
     def literal_value(self) -> Optional[int]:
         if len(self.terms) == 1 and self.terms[0][1] is None:
@@ -138,15 +135,11 @@ class Lit:
 
 
 @dataclass(frozen=True)
-class WSym:
-    def render(self) -> str:
-        return "w"
+class Sym:
+    name: str                      # "w" or "x"
 
-
-@dataclass(frozen=True)
-class XSym:
     def render(self) -> str:
-        return "x"
+        return self.name
 
 
 def _render_xarg(xarg: Optional[int]) -> str:
@@ -160,21 +153,13 @@ def _render_xarg(xarg: Optional[int]) -> str:
 
 @dataclass(frozen=True)
 class ECall:
+    order: Optional[IndexExpr]     # None: written E(...), which is order 1
     index: IndexExpr
     xarg: Optional[int]            # None: the number; k: the polynomial at x+k
 
     def render(self) -> str:
-        return f"E({self.index.render()}{_render_xarg(self.xarg)})"
-
-
-@dataclass(frozen=True)
-class EkCall:
-    order: IndexExpr
-    index: IndexExpr
-    xarg: Optional[int]
-
-    def render(self) -> str:
-        return f"Ek({self.order.render()}, {self.index.render()}{_render_xarg(self.xarg)})"
+        head = "E(" if self.order is None else f"Ek({self.order.render()}, "
+        return f"{head}{self.index.render()}{_render_xarg(self.xarg)})"
 
 
 @dataclass(frozen=True)
@@ -198,19 +183,8 @@ class SumExpr:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul:
+class BinOp:
+    op: str                        # "+", "-" or "*"
     left: object
     right: object
 
@@ -231,32 +205,28 @@ class Identity:
     source: str = field(compare=False, default="")
 
 
+# operator -> (precedence, function); ^ binds tighter than all three
+_BINOPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
+
+
 def _precedence(node) -> int:
-    if isinstance(node, (Add, Sub)):
-        return 1
-    if isinstance(node, Mul):
-        return 2
+    if isinstance(node, BinOp):
+        return _BINOPS[node.op][0]
     if isinstance(node, PowExpr):
         return 3
     return 4
 
 
 def render_expr(node) -> str:
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
+    if isinstance(node, BinOp):
+        prec = _precedence(node)
         left = render_expr(node.left)
         right = render_expr(node.right)
-        if _precedence(node.right) <= 1:
-            right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(node, Mul):
-        left = render_expr(node.left)
-        right = render_expr(node.right)
-        if _precedence(node.left) < 2:
+        if _precedence(node.left) < prec:
             left = f"({left})"
-        if _precedence(node.right) <= 2:
+        if _precedence(node.right) <= prec:
             right = f"({right})"
-        return f"{left}*{right}"
+        return f"{left}*{right}" if node.op == "*" else f"{left} {node.op} {right}"
     if isinstance(node, PowExpr):
         base = render_expr(node.base)
         if not _is_tight_atom(node.base):
@@ -274,7 +244,7 @@ def render_expr(node) -> str:
 def _is_tight_atom(node) -> bool:
     if isinstance(node, Lit):
         return node.value.denominator == 1 and node.value >= 0
-    return isinstance(node, (WSym, XSym, ECall, EkCall, Binom, SumExpr))
+    return isinstance(node, (Sym, ECall, Binom, SumExpr))
 
 
 def render_identity(ast: Identity) -> str:
@@ -339,14 +309,13 @@ class _Parser:
         while self.current.kind in ("+", "-"):
             op = self.current.kind
             self.pos += 1
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
+            node = BinOp(op, node, self.term())
         return node
 
     def term(self):
         node = self.power()
         while self.accept("*"):
-            node = Mul(node, self.power())
+            node = BinOp("*", node, self.power())
         return node
 
     def power(self):
@@ -379,18 +348,12 @@ class _Parser:
         tok = self.current
         if tok.kind == "int" or (tok.kind == "-" and self.tokens[self.pos + 1].kind == "int"):
             return self.literal()
-        if tok.kind == "w":
+        if tok.kind in ("w", "x"):
             self.pos += 1
-            return WSym()
-        if tok.kind == "x":
+            return Sym(tok.kind)
+        if tok.kind in ("E", "Ek"):
             self.pos += 1
-            return XSym()
-        if tok.kind == "E":
-            self.pos += 1
-            return self.e_call()
-        if tok.kind == "Ek":
-            self.pos += 1
-            return self.ek_call()
+            return self.e_call(with_order=tok.kind == "Ek")
         if tok.kind == "binom":
             self.pos += 1
             self.expect("(", "`(`")
@@ -431,19 +394,15 @@ class _Parser:
             value = Fraction(num)
         return Lit(-value if negative else value)
 
-    def e_call(self) -> ECall:
+    def e_call(self, with_order: bool) -> ECall:
         self.expect("(", "`(`")
+        order = None
+        if with_order:
+            order = self.index_expr()
+            self.expect(",", "`,` (order then index)")
         index = self.index_expr()
         xarg = self._optional_xarg()
-        return ECall(index, xarg)
-
-    def ek_call(self) -> EkCall:
-        self.expect("(", "`(`")
-        order = self.index_expr()
-        self.expect(",", "`,` (order then index)")
-        index = self.index_expr()
-        xarg = self._optional_xarg()
-        return EkCall(order, index, xarg)
+        return ECall(order, index, xarg)
 
     def _optional_xarg(self) -> Optional[int]:
         if self.accept(")"):
@@ -514,26 +473,21 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 
 
 class TableContext:
-    """Euler tables by order, grown on demand unless auto_extend is off."""
+    """Euler tables by order, each built on first use through max_index.
 
-    def __init__(self, max_index: int, max_order: int = 1, auto_extend: bool = True):
-        self.auto_extend = auto_extend
-        self.tables: dict[int, EulerTable] = {
-            k: EulerTable.build(max_index + 1, k) for k in range(1, max_order + 1)
-        }
+    A table is rebuilt only when an index past it is asked for.
+    """
+
+    def __init__(self, max_index: int):
+        self.max_index = max_index
+        self.tables: dict[int, EulerTable] = {}
 
     def table(self, order: int, index: int) -> EulerTable:
         if order < 1:
             raise DslEvalError(f"order must be at least 1, got {order}")
         tab = self.tables.get(order)
         if tab is None or tab.count <= index:
-            if not self.auto_extend:
-                have = 0 if tab is None else tab.count
-                raise DslEvalError(
-                    f"order {order} not precomputed up to index {index} (have {have})"
-                )
-            count = max(index + 1, tab.count if tab else 0)
-            tab = EulerTable.build(count, order)
+            tab = EulerTable.build(max(index, self.max_index) + 1, order)
             self.tables[order] = tab
         return tab
 
@@ -556,17 +510,10 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
     """Exact polynomial in x over Q(w); env binds every index variable."""
     if isinstance(node, Lit):
         return Polynomial(QW, (QW.of(node.value),))
-    if isinstance(node, WSym):
-        return Polynomial(QW, (W,))
-    if isinstance(node, XSym):
-        return Polynomial.variable(QW)
+    if isinstance(node, Sym):
+        return Polynomial(QW, (W,)) if node.name == "w" else Polynomial.variable(QW)
     if isinstance(node, ECall):
-        index = _index_value(node.index, env, "index")
-        if node.xarg is None:
-            return Polynomial(QW, (ctx.number(1, index),))
-        return ctx.poly(1, index).shifted(node.xarg)
-    if isinstance(node, EkCall):
-        order = node.order.evaluate(env)
+        order = 1 if node.order is None else node.order.evaluate(env)
         index = _index_value(node.index, env, "index")
         if node.xarg is None:
             return Polynomial(QW, (ctx.number(order, index),))
@@ -584,12 +531,9 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
             inner[node.var] = v
             acc = acc + evaluate_expr(node.body, inner, ctx)
         return acc
-    if isinstance(node, Add):
-        return evaluate_expr(node.left, env, ctx) + evaluate_expr(node.right, env, ctx)
-    if isinstance(node, Sub):
-        return evaluate_expr(node.left, env, ctx) - evaluate_expr(node.right, env, ctx)
-    if isinstance(node, Mul):
-        return evaluate_expr(node.left, env, ctx) * evaluate_expr(node.right, env, ctx)
+    if isinstance(node, BinOp):
+        apply = _BINOPS[node.op][1]
+        return apply(evaluate_expr(node.left, env, ctx), evaluate_expr(node.right, env, ctx))
     if isinstance(node, PowExpr):
         exp = _index_value(node.exponent, env, "exponent")
         return evaluate_expr(node.base, env, ctx) ** exp

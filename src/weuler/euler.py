@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratfunc import QQ, QW, W, Polynomial, binomial
+from .ratfunc import QQ, QW, W, Polynomial, binomial, multinomial
 from .series import Series
 from .umbral import appell_basis, apply_functional, compositions, pairing
 
@@ -184,15 +184,12 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     if numbers is None:
         numbers = weighted_euler_numbers(n + 1, w)
     lhs = order_k[n]
-    n_fact = math.factorial(n)
     rhs = field.zero
     for parts in compositions(n, order):
-        weight = n_fact
         term = field.one
         for i in parts:
-            weight //= math.factorial(i)
             term = term * numbers[i]
-        rhs = rhs + weight * term
+        rhs = rhs + multinomial(n, parts) * term
     return lhs, rhs
 
 

@@ -264,12 +264,12 @@ def _exact_text(r: Fraction) -> str:
     return num if r.denominator == 1 else f"{num}/{decimal.Decimal(r.denominator)}"
 
 
-def _truncated_text(r: Fraction, limit: int = 48) -> str:
+def _truncated_text(r: Fraction) -> str:
+    """Exact text of r, cut to its first and last 12 characters when over 48."""
     text = _exact_text(r)
-    if len(text) <= limit:
+    if len(text) <= 48:
         return text
-    keep = limit // 4
-    return f"{text[:keep]}...{text[-keep:]} ({len(text)} chars)"
+    return f"{text[:12]}...{text[-12:]} ({len(text)} chars)"
 
 
 @dataclass

@@ -13,13 +13,6 @@ import math
 from fractions import Fraction
 
 
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Canonical reduced fraction; the sign lives on the numerator."""
-    if denominator == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(numerator, denominator)
-
-
 def binomial(n: int, k: int) -> int:
     """C(n, k), zero outside 0 <= k <= n."""
     if k < 0 or k > n:
@@ -284,11 +277,20 @@ def _wpoly(coeffs) -> Polynomial:
     return _make(QQ, list(coeffs), "w")
 
 
-def poly_text(coeffs, var: str = "w") -> str:
-    """Render descending, e.g. ``w^2 - 4*w + 1``."""
-    if not coeffs:
-        return "0"
+def join_signed(terms) -> str:
+    """Join (negative, body) pairs as ``a - b + c``; ``0`` when there are none."""
     parts: list[str] = []
+    for negative, body in terms:
+        if not parts:
+            parts.append(f"-{body}" if negative else body)
+        else:
+            parts.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(parts) if parts else "0"
+
+
+def poly_text(coeffs) -> str:
+    """Render a polynomial in w descending, e.g. ``w^2 - 4*w + 1``."""
+    terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
@@ -297,13 +299,10 @@ def poly_text(coeffs, var: str = "w") -> str:
         if k == 0:
             body = str(mag)
         else:
-            v = var if k == 1 else f"{var}^{k}"
+            v = "w" if k == 1 else f"w^{k}"
             body = v if mag == 1 else f"{mag}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((c < 0, body))
+    return join_signed(terms)
 
 
 # gcd over Q[w] is done on primitive integer polynomials to keep the
@@ -627,10 +626,9 @@ class WRational:
         return f"\\frac{{{num}}}{{{den}}}"
 
 
-def latex_poly(coeffs, var: str = "w") -> str:
-    if not coeffs:
-        return "0"
-    parts: list[str] = []
+def latex_poly(coeffs) -> str:
+    """LaTeX for a polynomial in w, descending."""
+    terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
@@ -640,13 +638,10 @@ def latex_poly(coeffs, var: str = "w") -> str:
         if k == 0:
             body = mag_tex
         else:
-            v = var if k == 1 else f"{var}^{{{k}}}"
+            v = "w" if k == 1 else f"w^{{{k}}}"
             body = v if mag == 1 else f"{mag_tex} {v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+        terms.append((c < 0, body))
+    return join_signed(terms)
 
 
 def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:

@@ -2,8 +2,8 @@
 
 A series stores its ordinary coefficients c_0..c_{N-1} of t^k together with
 the explicit precision N.  The exponential ("umbral") coefficient a_k equals
-k! * c_k; the conversion lives in :meth:`Series.umbral_coefficient` and
-:meth:`Series.from_umbral` so that products stay plain Cauchy convolutions.
+k! * c_k; the conversion lives in :meth:`Series.umbral_coefficient` so that
+products stay plain Cauchy convolutions.
 
 Binary operations truncate silently to the smaller precision; nothing ever
 reads past the known range.
@@ -68,12 +68,6 @@ class Series:
         coeffs = [field.zero] * min(k, precision)
         if k < precision:
             coeffs.append(field.one)
-        return cls(field, coeffs, precision)
-
-    @classmethod
-    def from_umbral(cls, field, a_coeffs, precision: int | None = None) -> "Series":
-        """Series with exponential coefficients a_k, i.e. c_k = a_k / k!."""
-        coeffs = [field.of(a) * Fraction(1, math.factorial(k)) for k, a in enumerate(a_coeffs)]
         return cls(field, coeffs, precision)
 
     # -- accessors --------------------------------------------------------

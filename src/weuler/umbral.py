@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .ratfunc import Polynomial
+from .ratfunc import Polynomial, multinomial
 from .series import Series
 
 
@@ -157,13 +157,9 @@ def multinomial_pairing(fs: Sequence[Series], n: int):
         product = product * f
     xn = Polynomial.monomial(field, n)
     lhs = pairing(product, xn)
-    n_fact = math.factorial(n)
     rhs = field.zero
     for parts in compositions(n, len(fs)):
-        weight = n_fact
-        for i in parts:
-            weight //= math.factorial(i)
-        term = field.of(weight)
+        term = field.of(multinomial(n, parts))
         for f, i in zip(fs, parts):
             term = term * pairing(f, Polynomial.monomial(field, i))
         rhs = rhs + term

@@ -12,6 +12,7 @@ import pytest
 
 import weuler
 from weuler.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, main
+from weuler.euler import EulerTable
 
 SCHEMA = json.loads(
     importlib.resources.files("weuler").joinpath("schemas/cli.schema.json").read_text()
@@ -84,6 +85,15 @@ class TestVerify:
         assert payload["allPass"] is True
         assert len(payload["checks"]) == 11
 
+    def test_fault_in_computation_is_a_runtime_error(self, capsys, monkeypatch):
+        def broken(max_n, max_k):
+            raise ValueError("broken suite")
+
+        monkeypatch.setattr("weuler.cli.verify_paper_suite", broken)
+        code = main(["verify", "--suite", "paper", "--max-n", "4", "--max-k", "1"])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == "weuler: runtime error: broken suite\n"
+
     def test_unknown_suite_rejected(self, capsys):
         main(["verify", "--suite", "other", "--max-n", "4", "--max-k", "1"])
         # argparse reports the invalid choice on stderr and exits with usage
@@ -120,6 +130,19 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
+
+    def test_one_table_build_per_order(self, capsys, monkeypatch):
+        # each order is built once through --max-n; the corpus uses orders 1, 2 and 3
+        builds = []
+        real_build = EulerTable.build
+
+        def counting_build(count, order, **kwargs):
+            builds.append((count, order))
+            return real_build(count, order, **kwargs)
+
+        monkeypatch.setattr(EulerTable, "build", counting_build)
+        run(capsys, ["check", CORPUS, "--max-n", "10"])
+        assert builds == [(11, 1), (11, 2), (11, 3)]
 
 
 class TestPadic:

@@ -150,12 +150,8 @@ class TestEvaluation:
         v = check_identity(ast, ctx, max_n=5)
         assert v.status == "pass"
 
-    def test_auto_extend_toggle(self):
-        fixed = TableContext(max_index=3, max_order=1, auto_extend=False)
-        v = check_identity(parse_identity("forall n in 0..3 : Ek(2, n) = Ek(2, n)"), fixed)
-        assert v.status == "error"
-        assert "order 2 not precomputed up to index 0 (have 0)" in v.message
-        growing = TableContext(max_index=3, max_order=1, auto_extend=True)
+    def test_tables_grow_on_demand(self):
+        growing = TableContext(max_index=3)
         v = check_identity(parse_identity("forall n in 0..3 : Ek(2, n) = Ek(2, n)"), growing)
         assert v.status == "pass"
 

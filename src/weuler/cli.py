@@ -181,7 +181,7 @@ def _run_check(args) -> int:
             corpus = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc.strerror}")
-    ctx = TableContext(max_index=args.max_n)
+    ctx = TableContext()
     verdicts = check_corpus(corpus, ctx, max_n=args.max_n)
     if fmt == "json":
         payload = {

@@ -475,10 +475,13 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 class TableContext:
     """Euler tables by order, each built on first use through max_index.
 
-    A table is rebuilt only when an index past it is asked for.
+    check_identity sets max_index to the top of the range it checks, so an
+    order is sized by the identity that first asks for it.  A table reaches
+    the index asked for if that is larger, and is rebuilt only when an index
+    past it is asked for.
     """
 
-    def __init__(self, max_index: int):
+    def __init__(self, max_index: int = 0):
         self.max_index = max_index
         self.tables: dict[int, EulerTable] = {}
 
@@ -576,6 +579,7 @@ class Verdict:
 def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
     hi = ast.hi if max_n is None else min(ast.hi, max_n)
+    ctx.max_index = hi
     for n in range(ast.lo, hi + 1):
         env = {ast.var: n}
         try:

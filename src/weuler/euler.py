@@ -10,13 +10,14 @@ the two must agree exactly in Q(w).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ratfunc import QQ, QW, W, Polynomial, binomial, multinomial
 from .series import Series
-from .umbral import appell_basis, apply_functional, compositions, pairing
+from .umbral import appell_basis, apply_functional, pairing, partitions
 
 
 def _field_and_w(w):
@@ -173,8 +174,10 @@ class EulerTable:
 def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
-    The left side comes from the order-k generating function, the right from
-    an explicit sum over all compositions of n into `order` parts.
+    The left side comes from the order-k generating function.  The right is
+    the sum over compositions of n into `order` parts, taken over partitions:
+    a term does not change when its parts are reordered, so each partition's
+    term counts once per distinct ordering, multinomial(order; multiplicities).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -185,11 +188,12 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
         numbers = weighted_euler_numbers(n + 1, w)
     lhs = order_k[n]
     rhs = field.zero
-    for parts in compositions(n, order):
+    for parts in partitions(n, order):
         term = field.one
         for i in parts:
             term = term * numbers[i]
-        rhs = rhs + multinomial(n, parts) * term
+        orderings = multinomial(order, Counter(parts).values())
+        rhs = rhs + (orderings * multinomial(n, parts)) * term
     return lhs, rhs
 
 

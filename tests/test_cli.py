@@ -132,7 +132,9 @@ class TestCheck:
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 
     def test_one_table_build_per_order(self, capsys, monkeypatch):
-        # each order is built once through --max-n; the corpus uses orders 1, 2 and 3
+        # the corpus uses orders 1, 2 and 3 up to index 8; each order is built
+        # once, through the range of the identity that first asks for it,
+        # however far --max-n reaches past that
         builds = []
         real_build = EulerTable.build
 
@@ -141,8 +143,10 @@ class TestCheck:
             return real_build(count, order, **kwargs)
 
         monkeypatch.setattr(EulerTable, "build", counting_build)
-        run(capsys, ["check", CORPUS, "--max-n", "10"])
-        assert builds == [(11, 1), (11, 2), (11, 3)]
+        for max_n in ("10", "20"):
+            builds.clear()
+            run(capsys, ["check", CORPUS, "--max-n", max_n])
+            assert builds == [(9, 1), (9, 2), (9, 3)], max_n
 
 
 class TestPadic:

@@ -1,6 +1,8 @@
 """Unit tests for weighted Euler numbers, polynomials and the identity suite."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,29 @@ class TestOrderK:
     def test_multinomial_numeric_weight(self):
         lhs, rhs = order_k_multinomial(3, 5, w=Fraction(4))
         assert lhs == rhs
+
+    @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)], ids=["Qw", "w=4", "w=-3/2"])
+    def test_partition_sum_equals_composition_sum(self, w):
+        # brute-force oracle: every ordered tuple (i_1..i_k) with sum n, each
+        # weighted by n!/(i_1!...i_k!), as the identity is written
+        numbers = weighted_euler_numbers(9, w)
+        zero = QW.zero if w is None else Fraction(0)
+        for k in (1, 2, 3, 4):
+            for n in range(9):
+                oracle = zero
+                for parts in itertools.product(range(n + 1), repeat=k):
+                    if sum(parts) != n:
+                        continue
+                    weight = math.factorial(n)
+                    term = numbers[parts[0]]
+                    for i in parts:
+                        weight //= math.factorial(i)
+                    for i in parts[1:]:
+                        term = term * numbers[i]
+                    oracle = oracle + weight * term
+                lhs, rhs = order_k_multinomial(k, n, w=w, numbers=numbers)
+                assert rhs == oracle, (k, n)
+                assert lhs == rhs, (k, n)
 
 
 class TestClassicalReduction:

@@ -475,14 +475,15 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 class TableContext:
     """Euler tables by order, each built on first use through max_index.
 
-    check_identity sets max_index to the top of the range it checks, so an
-    order is sized by the identity that first asks for it.  A table reaches
-    the index asked for if that is larger, and is rebuilt only when an index
-    past it is asked for.
+    max_index is the top of the largest range checked with this context;
+    check_identity raises it to its own range and check_corpus to the whole
+    corpus's before the first check, so a corpus builds each order once
+    whatever order its ranges come in.  A table reaches the index asked for
+    if that is larger, and is rebuilt only when an index past it is asked for.
     """
 
-    def __init__(self, max_index: int = 0):
-        self.max_index = max_index
+    def __init__(self):
+        self.max_index = 0
         self.tables: dict[int, EulerTable] = {}
 
     def table(self, order: int, index: int) -> EulerTable:
@@ -576,10 +577,14 @@ class Verdict:
         return f"ERROR {self.source}  {self.message}"
 
 
+def _checked_top(ast: Identity, max_n: Optional[int]) -> int:
+    return ast.hi if max_n is None else min(ast.hi, max_n)
+
+
 def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
-    hi = ast.hi if max_n is None else min(ast.hi, max_n)
-    ctx.max_index = hi
+    hi = _checked_top(ast, max_n)
+    ctx.max_index = max(ctx.max_index, hi)
     for n in range(ast.lo, hi + 1):
         env = {ast.var: n}
         try:
@@ -593,16 +598,17 @@ def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None
 
 def check_corpus(text: str, ctx: TableContext, max_n: Optional[int] = None) -> list[Verdict]:
     """One verdict per identity line; parse failures become error verdicts."""
-    verdicts = []
+    parsed = []                    # an Identity, or the error verdict of its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
         try:
-            ast = parse_identity(raw, line=lineno)
+            parsed.append(parse_identity(raw, line=lineno))
         except DslParseError as exc:
-            verdicts.append(Verdict("error", stripped, message=str(exc),
-                                    location=(exc.line, exc.column)))
-            continue
-        verdicts.append(check_identity(ast, ctx, max_n=max_n))
-    return verdicts
+            parsed.append(Verdict("error", stripped, message=str(exc),
+                                  location=(exc.line, exc.column)))
+    tops = [_checked_top(item, max_n) for item in parsed if isinstance(item, Identity)]
+    ctx.max_index = max([ctx.max_index, *tops])
+    return [item if isinstance(item, Verdict) else check_identity(item, ctx, max_n=max_n)
+            for item in parsed]

@@ -9,6 +9,7 @@ the two must agree exactly in Q(w).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 from .ratfunc import QQ, QW, W, Polynomial, binomial, multinomial
 from .series import Series
-from .umbral import appell_basis, apply_functional, pairing, partitions
+from .umbral import appell_basis, apply_functional, pairing
 
 
 def _field_and_w(w):
@@ -175,9 +176,10 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
     The left side comes from the order-k generating function.  The right is
-    the sum over compositions of n into `order` parts, taken over partitions:
-    a term does not change when its parts are reordered, so each partition's
-    term counts once per distinct ordering, multinomial(order; multiplicities).
+    the sum over compositions of n into `order` parts, taken over partitions
+    (parts in nondecreasing order): a term does not change when its parts are
+    reordered, so each partition's term counts once per distinct ordering,
+    multinomial(order; multiplicities).
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -188,7 +190,9 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
         numbers = weighted_euler_numbers(n + 1, w)
     lhs = order_k[n]
     rhs = field.zero
-    for parts in partitions(n, order):
+    for parts in itertools.combinations_with_replacement(range(n + 1), order):
+        if sum(parts) != n:
+            continue
         term = field.one
         for i in parts:
             term = term * numbers[i]

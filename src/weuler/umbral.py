@@ -143,26 +143,6 @@ def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def partitions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All nonincreasing tuples of m nonnegative integers summing to n.
-
-    Each stands for its distinct orderings, which are exactly the
-    compositions of n into m parts that sort to it.
-    """
-
-    def tails(rest: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if slots == 0:
-            if rest == 0:
-                yield ()
-            return
-        # the first part is the largest: at most cap, at least rest/slots
-        for first in range(min(rest, cap), -(-rest // slots) - 1, -1):
-            for tail in tails(rest - first, slots - 1, first):
-                yield (first,) + tail
-
-    return tails(n, m, n)
-
-
 def multinomial_pairing(fs: Sequence[Series], n: int):
     """Both sides of the product-pairing identity.
 

@@ -216,7 +216,7 @@ def test_criterion_8_dsl_corpus(capsys):
         .joinpath("corpus/paper.uid")
         .read_text(encoding="utf-8")
     )
-    ctx = TableContext(max_index=10)
+    ctx = TableContext()
     verdicts = check_corpus(corpus, ctx)
     corpus_ok = len(verdicts) == 7 and all(v.status == "pass" for v in verdicts)
 

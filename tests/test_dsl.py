@@ -13,13 +13,14 @@ from weuler.dsl import (
     render_identity,
     tokenize,
 )
+from weuler.euler import EulerTable
 
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 
 
 @pytest.fixture(scope="module")
 def ctx():
-    return TableContext(max_index=10)
+    return TableContext()
 
 
 class TestTokenizer:
@@ -65,7 +66,7 @@ class TestParser:
     def test_literal_fraction_folding(self):
         # INT/INT folds into a single rational literal, so both sides agree
         ast = parse_identity("forall n in 0..2 : 1/2*x + 1/2*x = x")
-        ctx = TableContext(max_index=2)
+        ctx = TableContext()
         assert check_identity(ast, ctx).status == "pass"
 
     def test_source_not_compared(self):
@@ -151,9 +152,11 @@ class TestEvaluation:
         assert v.status == "pass"
 
     def test_tables_grow_on_demand(self):
-        growing = TableContext(max_index=3)
-        v = check_identity(parse_identity("forall n in 0..3 : Ek(2, n) = Ek(2, n)"), growing)
-        assert v.status == "pass"
+        growing = TableContext()
+        for hi, count in ((3, 4), (6, 7)):
+            v = check_identity(parse_identity(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)"), growing)
+            assert v.status == "pass"
+            assert growing.tables[2].count == count
 
 
 class TestCorpus:
@@ -180,3 +183,17 @@ class TestCorpus:
         verdicts = check_corpus(corpus, ctx)
         assert [v.status for v in verdicts] == ["pass", "fail", "error"]
         assert verdicts[2].location == (3, 25)
+
+    def test_ascending_ranges_build_each_order_once(self, monkeypatch):
+        builds = []
+        real_build = EulerTable.build
+
+        def counting_build(count, order, **kwargs):
+            builds.append((count, order))
+            return real_build(count, order, **kwargs)
+
+        monkeypatch.setattr(EulerTable, "build", counting_build)
+        corpus = "".join(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)\n" for hi in (3, 6, 8))
+        verdicts = check_corpus(corpus, TableContext(), max_n=7)
+        assert [v.status for v in verdicts] == ["pass"] * 3
+        assert builds == [(8, 2)]

@@ -1,6 +1,5 @@
 """Unit tests for the umbral pairing, Appell and Sheffer machinery."""
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -20,7 +19,6 @@ from weuler.umbral import (
     expand_in_basis,
     multinomial_pairing,
     pairing,
-    partitions,
     sheffer_basis,
 )
 
@@ -198,17 +196,6 @@ class TestMultinomial:
         assert list(compositions(3, 2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
         assert list(compositions(0, 0)) == [()]
         assert sum(1 for _ in compositions(6, 3)) == 28
-
-    def test_partitions_expand_to_compositions(self):
-        assert list(partitions(4, 2)) == [(4, 0), (3, 1), (2, 2)]
-        assert list(partitions(0, 0)) == [()]
-        for n in range(13):
-            for m in range(1, 6):
-                parts = list(partitions(n, m))
-                assert all(list(p) == sorted(p, reverse=True) for p in parts)
-                assert len(set(parts)) == len(parts)
-                orderings = [q for p in parts for q in set(itertools.permutations(p))]
-                assert sorted(orderings) == sorted(compositions(n, m)), (n, m)
 
     def test_pairing_product_rule(self):
         fs = [

@@ -475,11 +475,12 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 class TableContext:
     """Euler tables by order, each built on first use through max_index.
 
-    max_index is the top of the largest range checked with this context;
-    check_identity raises it to its own range and check_corpus to the whole
-    corpus's before the first check, so a corpus builds each order once
-    whatever order its ranges come in.  A table reaches the index asked for
-    if that is larger, and is rebuilt only when an index past it is asked for.
+    max_index is the largest index asked for by an identity checked with
+    this context; check_identity raises it to its own identity's reach and
+    check_corpus to the whole corpus's before the first check, so a corpus
+    builds each order once whatever order its ranges come in.  A table
+    reaches the index asked for if that is larger, and is rebuilt only when
+    an index past it is asked for.
     """
 
     def __init__(self):
@@ -581,10 +582,40 @@ def _checked_top(ast: Identity, max_n: Optional[int]) -> int:
     return ast.hi if max_n is None else min(ast.hi, max_n)
 
 
+def _node_reach(node, env: dict) -> int:
+    """Largest table index `node` asks for under env, -1 if it asks for none."""
+    if isinstance(node, ECall):
+        return node.index.evaluate(env)
+    if isinstance(node, SumExpr):
+        inner = dict(env)
+        reach = -1
+        for v in range(node.lo.evaluate(env), node.hi.evaluate(env) + 1):
+            inner[node.var] = v
+            reach = max(reach, _node_reach(node.body, inner))
+        return reach
+    if isinstance(node, BinOp):
+        return max(_node_reach(node.left, env), _node_reach(node.right, env))
+    if isinstance(node, PowExpr):
+        return _node_reach(node.base, env)
+    return -1
+
+
+def _reach(ast: Identity, max_n: Optional[int]) -> int:
+    """Largest table index the identity asks for over its checked range.
+
+    Index expressions are walked, not evaluated into polynomials, so an
+    index past n (E(n + 1) at n = hi) sizes the tables before the first
+    build instead of forcing a rebuild once the check gets there.
+    """
+    return max((_node_reach(side, {ast.var: n})
+                for n in range(ast.lo, _checked_top(ast, max_n) + 1)
+                for side in (ast.lhs, ast.rhs)), default=-1)
+
+
 def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
     hi = _checked_top(ast, max_n)
-    ctx.max_index = max(ctx.max_index, hi)
+    ctx.max_index = max(ctx.max_index, _reach(ast, max_n))
     for n in range(ast.lo, hi + 1):
         env = {ast.var: n}
         try:
@@ -608,7 +639,7 @@ def check_corpus(text: str, ctx: TableContext, max_n: Optional[int] = None) -> l
         except DslParseError as exc:
             parsed.append(Verdict("error", stripped, message=str(exc),
                                   location=(exc.line, exc.column)))
-    tops = [_checked_top(item, max_n) for item in parsed if isinstance(item, Identity)]
-    ctx.max_index = max([ctx.max_index, *tops])
+    reaches = [_reach(item, max_n) for item in parsed if isinstance(item, Identity)]
+    ctx.max_index = max([ctx.max_index, *reaches])
     return [item if isinstance(item, Verdict) else check_identity(item, ctx, max_n=max_n)
             for item in parsed]

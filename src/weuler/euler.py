@@ -117,31 +117,36 @@ class EulerTable:
     """Numbers and polynomials of one order, symbolic or evaluated at w0.
 
     The raw constructor stores what it is given (tests inject faults through
-    it); build() derives everything from the generating function and checks
-    the structural invariants.
+    it); build() derives the numbers from the generating function and checks
+    the structural invariant.  Polynomials not given are built from the
+    numbers on first read, so a table of numbers alone never builds them.
     """
 
-    __slots__ = ("field", "order", "w0", "numbers", "polys")
+    __slots__ = ("field", "order", "w0", "numbers", "_polys")
 
-    def __init__(self, field, order: int, numbers: Sequence, polys: Sequence[Polynomial], w0=None):
+    def __init__(self, field, order: int, numbers: Sequence,
+                 polys: Optional[Sequence[Polynomial]] = None, w0=None):
         self.field = field
         self.order = order
         self.w0 = w0
         self.numbers = tuple(numbers)
-        self.polys = tuple(polys)
+        self._polys = None if polys is None else tuple(polys)
 
     @classmethod
     def build(cls, count: int, order: int = 1, w=None) -> "EulerTable":
         field, wv = _field_and_w(w)
         numbers = order_k_numbers(count, order, w)
-        polys = _polys_from_numbers(field, numbers)
-        leading = (field.of(2) / (wv + 1)) ** order
-        for n, p in enumerate(polys):
-            if p.degree != n or p.coefficient(n) != leading:
-                raise AssertionError(f"degree law broken at n={n}")
-            if p.coefficient(0) != numbers[n]:
-                raise AssertionError(f"constant term is not E_{n}")
-        return cls(field, order, numbers, polys, w0=None if w is None else Fraction(w))
+        # p_n = sum_l C(n,l) E_{n-l} x^l has constant term E_n and leading
+        # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
+        if numbers[0] != (field.of(2) / (wv + 1)) ** order:
+            raise AssertionError("degree law broken at n=0")
+        return cls(field, order, numbers, w0=None if w is None else Fraction(w))
+
+    @property
+    def polys(self) -> tuple[Polynomial, ...]:
+        if self._polys is None:
+            self._polys = tuple(_polys_from_numbers(self.field, self.numbers))
+        return self._polys
 
     @property
     def count(self) -> int:
@@ -157,15 +162,16 @@ class EulerTable:
             raise ValueError("table is already evaluated")
         w0 = Fraction(w0)
         numbers = [r.eval_at(w0) for r in self.numbers]
-        polys = [Polynomial(QQ, [c.eval_at(w0) for c in p.coeffs]) for p in self.polys]
+        polys = None
+        if self._polys is not None:
+            polys = [Polynomial(QQ, [c.eval_at(w0) for c in p.coeffs]) for p in self._polys]
         return EulerTable(QQ, self.order, numbers, polys, w0=w0)
 
     def with_perturbed_number(self, n: int, delta=1) -> "EulerTable":
-        """Fault injection: bump E_n and rebuild the polynomials from it."""
+        """Fault injection: bump E_n; the polynomials follow from the numbers."""
         numbers = list(self.numbers)
         numbers[n] = numbers[n] + self.field.of(delta)
-        return EulerTable(self.field, self.order, numbers,
-                          _polys_from_numbers(self.field, numbers), self.w0)
+        return EulerTable(self.field, self.order, numbers, w0=self.w0)
 
 
 # ---------------------------------------------------------------------------

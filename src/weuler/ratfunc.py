@@ -424,6 +424,28 @@ class RationalField:
         return Fraction(text)
 
     @staticmethod
+    def dot(xs, ys) -> Fraction:
+        """sum x*y, normalised once.
+
+        Each product is an integer pair; the numerators are summed over the
+        lcm of the denominators and reduced by one gcd, where adding
+        Fractions one by one would reduce every partial sum.
+        """
+        nums, dens = [], []
+        for x, y in zip(xs, ys):
+            num = x.numerator * y.numerator
+            if num:
+                nums.append(num)
+                dens.append(x.denominator * y.denominator)
+        if not nums:
+            return Fraction(0)
+        den = 1
+        for d in dens:
+            if den % d:     # most divide the running lcm: a remainder, not a gcd
+                den = den // math.gcd(den, d) * d
+        return Fraction(sum(num * (den // d) for num, d in zip(nums, dens)), den)
+
+    @staticmethod
     def render(value) -> str:
         return str(value)
 
@@ -801,6 +823,15 @@ class WRationalField:
     @staticmethod
     def parse(text: str) -> WRational:
         return WRational.parse(text)
+
+    @staticmethod
+    def dot(xs, ys) -> WRational:
+        """sum x*y, added left to right; a zero x is skipped."""
+        acc = WRationalField.zero
+        for x, y in zip(xs, ys):
+            if x:
+                acc = acc + x * y
+        return acc
 
     @staticmethod
     def render(value) -> str:

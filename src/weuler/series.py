@@ -186,12 +186,8 @@ class Series:
         inv0 = self.field.one / c0
         out = [inv0]
         for n in range(1, self.precision):
-            acc = self.field.zero
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if ck != self.field.zero:
-                    acc = acc + ck * out[n - k]
-            out.append(-inv0 * acc)
+            # c_n' = -c_0^{-1} sum_{k=1..n} c_k c_{n-k}'
+            out.append(-inv0 * self.field.dot(self.coeffs[1:n + 1], reversed(out)))
         return Series._make(self.field, out, self.precision)
 
     def compose(self, inner: "Series") -> "Series":

@@ -132,9 +132,9 @@ class TestCheck:
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 
     def test_one_table_build_per_order(self, capsys, monkeypatch):
-        # the corpus uses orders 1, 2 and 3 up to index 8; each order is built
-        # once, through the range of the identity that first asks for it,
-        # however far --max-n reaches past that
+        # the corpus uses orders 1, 2 and 3 up to index 8 and asks for index
+        # n + 1 at its top n; each order is built once, through the largest
+        # index the corpus asks for, however far --max-n reaches past that
         builds = []
         real_build = EulerTable.build
 
@@ -143,10 +143,10 @@ class TestCheck:
             return real_build(count, order, **kwargs)
 
         monkeypatch.setattr(EulerTable, "build", counting_build)
-        for max_n in ("10", "20"):
+        for max_n, count in (("5", 7), ("10", 9), ("20", 9)):
             builds.clear()
             run(capsys, ["check", CORPUS, "--max-n", max_n])
-            assert builds == [(9, 1), (9, 2), (9, 3)], max_n
+            assert builds == [(count, 1), (count, 2), (count, 3)], max_n
 
 
 class TestPadic:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from weuler import cli, euler
 from weuler.euler import (
     EulerTable,
     classical_euler_polys,
@@ -197,6 +198,31 @@ def QW_eval(c, w0=Fraction(1)):
     return c.eval_at(w0)
 
 
+def fraction_free_numbers(count, w):
+    """E_{n,w} = N_n / D^{n+1} with w = a/b and D = a + b, in integers only.
+
+    N_0 = 2b and N_n = -a sum_{j<n} C(n,j) N_j D^{n-1-j}: the recurrence
+    (1+w) E_n = -w sum_{j<n} C(n,j) E_j cleared of denominators, as in
+    Bareiss's fraction-free elimination (Math. Comp. 1968).
+    """
+    a, b = w.numerator, w.denominator
+    d = a + b
+    nums = [2 * b]
+    for n in range(1, count):
+        nums.append(-a * sum(binomial(n, j) * nums[j] * d ** (n - 1 - j) for j in range(n)))
+    return [Fraction(num, d ** (n + 1)) for n, num in enumerate(nums)]
+
+
+@pytest.mark.parametrize("w", [Fraction(4), Fraction(-3, 2), Fraction(7, 5), Fraction(-1, 4)],
+                         ids=str)
+def test_fixed_weight_numbers_match_fraction_free_oracle(w):
+    # a third route to the numbers, with no gcd anywhere: the series inversion
+    # and the triangular recurrence must both land on it exactly
+    oracle = fraction_free_numbers(60, w)
+    assert order_k_numbers(60, 1, w) == oracle
+    assert weighted_euler_numbers(60, w) == oracle
+
+
 class TestEulerTable:
     def test_build_validates(self):
         t = EulerTable.build(5, 2)
@@ -219,6 +245,40 @@ class TestEulerTable:
     def test_w_value(self):
         assert EulerTable.build(3, 1).w_value() == W
         assert EulerTable.build(3, 1, w=Fraction(4)).w_value() == Fraction(4)
+
+    def test_polys_built_on_first_read(self):
+        for w in (None, Fraction(-3, 2)):
+            t = EulerTable.build(7, 2, w=w)
+            assert t.polys == tuple(weighted_euler_polys(7, 2, w=w))
+            assert t.polys is t.polys
+
+    def test_numbers_command_builds_no_polys(self, capsys, monkeypatch):
+        def refuse(field, numbers):
+            raise AssertionError("numbers built the polynomials")
+
+        monkeypatch.setattr(euler, "_polys_from_numbers", refuse)
+        assert cli.main(["numbers", "--max-n", "6", "--w", "4"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("0: 2/5\n")
+
+    def test_explicit_polys_are_kept(self):
+        t = EulerTable.build(4, 1)
+        fake = [p + 1 for p in t.polys]
+        injected = EulerTable(t.field, 1, t.numbers, fake)
+        assert injected.polys == tuple(fake)
+        evaluated = injected.evaluate(Fraction(4)).polys
+        assert evaluated[0].coefficient(0) == Fraction(2, 5) + 1
+
+    @pytest.mark.parametrize("w", [None, Fraction(4)], ids=["symbolic", "w=4"])
+    def test_build_rejects_a_wrong_leading_number(self, monkeypatch, w):
+        real = euler.order_k_numbers
+
+        def wrong_e0(count, order=1, w=None):
+            numbers = real(count, order, w)
+            return [numbers[0] + 1, *numbers[1:]]
+
+        monkeypatch.setattr(euler, "order_k_numbers", wrong_e0)
+        with pytest.raises(AssertionError, match="degree law broken at n=0"):
+            EulerTable.build(5, 2, w=w)
 
 
 class TestVerifySuite:

@@ -244,3 +244,37 @@ class TestOnePolynomialType:
             assert r.field is field
             assert all(type(coeff) is element_type for coeff in r.coeffs), r
             assert not r.coeffs or r.coeffs[-1] != field.zero
+
+
+class TestDot:
+    """field.dot(xs, ys) is the left-to-right sum of the products, in canonical form."""
+
+    @staticmethod
+    def plain(field, xs, ys):
+        acc = field.zero
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_plain_sum(self, data):
+        field = data.draw(st.sampled_from([QQ, QW]))
+        scalars = st.one_of(st.just(0), TestOnePolynomialType.scalars(field)).map(field.of)
+        size = data.draw(st.integers(0, 6))
+        xs = data.draw(st.lists(scalars, min_size=size, max_size=size))
+        ys = data.draw(st.lists(scalars, min_size=size, max_size=size))
+        got, want = field.dot(xs, ys), self.plain(field, xs, ys)
+        assert type(got) is type(want)
+        assert got == want and hash(got) == hash(want)
+        if field is QQ:
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        else:
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+    @pytest.mark.parametrize("field", [QQ, QW], ids=["QQ", "QW"])
+    def test_empty_and_cancelling_inputs(self, field):
+        assert field.dot([], []) == field.zero
+        half = field.of(frac(1, 2))
+        assert field.dot([half, half], [field.of(3), field.of(-3)]) == field.zero
+        assert field.dot([field.zero, half], [field.of(5), field.of(4)]) == field.of(2)

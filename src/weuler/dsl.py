@@ -480,7 +480,8 @@ class TableContext:
     check_corpus to the whole corpus's before the first check, so a corpus
     builds each order once whatever order its ranges come in.  A table
     reaches the index asked for if that is larger, and is rebuilt only when
-    an index past it is asked for.
+    an index past it is asked for.  Order k extends the table of order
+    k - 1 by one product when that table has the same count.
     """
 
     def __init__(self):
@@ -492,7 +493,11 @@ class TableContext:
             raise DslEvalError(f"order must be at least 1, got {order}")
         tab = self.tables.get(order)
         if tab is None or tab.count <= index:
-            tab = EulerTable.build(max(index, self.max_index) + 1, order)
+            count = max(index, self.max_index) + 1
+            lower = self.tables.get(order - 1)
+            if lower is not None and lower.count != count:
+                lower = None
+            tab = EulerTable.build(count, order, lower=lower)
             self.tables[order] = tab
         return tab
 

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .ratfunc import QQ, QW, W, Polynomial, binomial, multinomial
 from .series import Series
-from .umbral import appell_basis, apply_functional, pairing
+from .umbral import apply_functional, pairing
 
 
 def _field_and_w(w):
@@ -122,7 +122,7 @@ class EulerTable:
     numbers on first read, so a table of numbers alone never builds them.
     """
 
-    __slots__ = ("field", "order", "w0", "numbers", "_polys")
+    __slots__ = ("field", "order", "w0", "numbers", "_polys", "_gf")
 
     def __init__(self, field, order: int, numbers: Sequence,
                  polys: Optional[Sequence[Polynomial]] = None, w0=None):
@@ -131,16 +131,43 @@ class EulerTable:
         self.w0 = w0
         self.numbers = tuple(numbers)
         self._polys = None if polys is None else tuple(polys)
+        self._gf = None              # the order-1 series build() multiplied by
 
     @classmethod
-    def build(cls, count: int, order: int = 1, w=None) -> "EulerTable":
+    def build(cls, count: int, order: int = 1, w=None,
+              lower: Optional["EulerTable"] = None) -> "EulerTable":
+        """The order-k table from the generating function, for n < count.
+
+        Without `lower`, one inverse and order - 1 products.  `lower`, if
+        given, must be a table of order - 1 with the same count and weight;
+        its numbers are then multiplied by the order-1 series once, so a
+        chain of orders costs one product per order.  The numbers a lower
+        table holds are what is extended, so a perturbed one extends to a
+        perturbed table.
+        """
         field, wv = _field_and_w(w)
-        numbers = order_k_numbers(count, order, w)
+        w0 = None if w is None else Fraction(w)
+        if lower is None:
+            gf = weighted_euler_gf(count, 1, w)
+            power = gf
+            for _ in range(order - 1):
+                power = power * gf
+        else:
+            if lower.count != count or lower.w0 != w0 or lower.order != order - 1:
+                raise ValueError(
+                    f"cannot extend an order-{lower.order} table of count {lower.count} at "
+                    f"w = {lower.w0} to order {order}, count {count}, w = {w0}")
+            gf = weighted_euler_gf(count, 1, w) if lower._gf is None else lower._gf
+            coeffs = [e * Fraction(1, math.factorial(n)) for n, e in enumerate(lower.numbers)]
+            power = Series._make(field, coeffs, count) * gf
+        numbers = [power.umbral_coefficient(n) for n in range(count)]
         # p_n = sum_l C(n,l) E_{n-l} x^l has constant term E_n and leading
         # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
         if numbers[0] != (field.of(2) / (wv + 1)) ** order:
             raise AssertionError("degree law broken at n=0")
-        return cls(field, order, numbers, w0=None if w is None else Fraction(w))
+        table = cls(field, order, numbers, w0=w0)
+        table._gf = gf
+        return table
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -263,17 +290,25 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     """Run the full identity suite over Q(w) for n < max_n, 1 <= k <= max_k.
 
     `tables` may supply prebuilt (possibly perturbed) EulerTable values keyed
-    by order; missing orders are built fresh.  Failures are reported, never
+    by order; missing orders are built along one chain from a fresh order-1
+    table, never by extending a supplied one.  Failures are reported, never
     raised.  Each check is a generator of (n, k, difference) cases, consumed
     only up to its first failure.
+
+    The tables invert g = (w e^t + 1)/2, then take powers of the inverse.
+    Checks (g) and (h) take the other route to GF^k: the power g^k, then its
+    inverse.  Checks (e) and (f) use the order-1 GF, g inverted here.
     """
     if max_n < 2 or max_k < 1:
         raise ValueError("need max_n >= 2 and max_k >= 1")
     tables = dict(tables) if tables else {}
     w0 = next((t.w0 for t in tables.values()), None)
-    for k in range(1, max_k + 1):
-        if k not in tables:
-            tables[k] = EulerTable.build(max_n, k, w=w0)
+    orders = range(1, max_k + 1)
+    missing = [k for k in orders if k not in tables]
+    chain = None
+    for k in range(1, max(missing, default=0) + 1):
+        chain = EulerTable.build(max_n, k, w=w0, lower=chain)
+        tables.setdefault(k, chain)
 
     t1 = tables[1]
     field = t1.field
@@ -281,7 +316,12 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     precision = max_n + 1
     g = gf_denominator(precision, 1, w=w0)
     gf = g.inverse()
-    orders = range(1, max_k + 1)
+    # GF^k = (g^k)^{-1}, shared by checks (g) and (h)
+    gf_powers = {1: gf}
+    gk = g
+    for k in orders[1:]:
+        gk = gk * g
+        gf_powers[k] = gk.inverse()
 
     def x_pow(n, coeff=1):
         return Polynomial.monomial(field, n, coeff)
@@ -295,7 +335,7 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     def operator_recurrence():
         # (c) E_{n+1} = x E_n - (g'/g) E_n, the ratio truncated to precision n+2
-        ratio_full = g.derivative() * g.truncate(precision - 1).inverse()
+        ratio_full = g.derivative() * gf.truncate(precision - 1)
         x = Polynomial.variable(field)
         for n in range(max_n - 1):
             ratio = ratio_full.truncate(n + 2)
@@ -304,22 +344,15 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     def order_k_functional():
         # (g) <GF^k | x^n> = stored order-k numbers
-        gfk = gf
         for k in orders:
-            if k > 1:
-                gfk = gfk * gf
             for n in range(max_n):
-                yield n, k, pairing(gfk, x_pow(n)) - tables[k].numbers[n]
+                yield n, k, pairing(gf_powers[k], x_pow(n)) - tables[k].numbers[n]
 
     def order_k_binomial_form():
-        # (h) stored polynomials match the Appell basis of g^k
-        gk = g
+        # (h) stored polynomials match the Appell basis of g^k, GF^k x^n
         for k in orders:
-            if k > 1:
-                gk = gk * g
-            basis = appell_basis(gk, max_n)
             for n in range(max_n):
-                yield n, k, tables[k].polys[n] - basis[n]
+                yield n, k, tables[k].polys[n] - apply_functional(gf_powers[k], x_pow(n))
 
     def multinomial():
         # (i) multinomial convolution of the stored numbers

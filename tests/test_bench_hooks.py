@@ -3,9 +3,9 @@
 bench/tracing.py wraps weuler's layer functions from outside, by looking
 each one up by name (methods in their class's ``__dict__``).  A rename or a
 moved method breaks ``--trace 1`` runs of the benchmark; these tests make
-that a fast failure here instead.  The fixed-weight table commands must
-also still print the output whose SHA-256 bench/workloads.py pins.  The
-bench files are only imported.
+that a fast failure here instead.  The fixed-weight table commands and the
+suite workload's two commands must also still print the output whose
+SHA-256 bench/workloads.py pins.  The bench files are only imported.
 """
 
 import contextlib
@@ -74,12 +74,23 @@ def test_traced_run_matches_untraced(tracing, capsys):
     assert run(capsys) == plain
 
 
-@pytest.mark.parametrize("command", ["numbers --max-n 400 --w 4",
-                                     "polys --max-n 160 --w=-3/2 --order 3"])
-def test_fixed_weight_tables_match_pinned_digest(command):
+def assert_pinned_digest(command):
     pinned = load("workloads").DIGESTS[command]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(command.split())
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == pinned
+
+
+@pytest.mark.parametrize("command", ["numbers --max-n 400 --w 4",
+                                     "polys --max-n 160 --w=-3/2 --order 3"])
+def test_fixed_weight_tables_match_pinned_digest(command):
+    assert_pinned_digest(command)
+
+
+@pytest.mark.parametrize("command", ["verify --suite paper --max-n 12 --max-k 4",
+                                     "check src/weuler/corpus/paper.uid --max-n 10"])
+def test_suite_commands_match_pinned_digest(command, monkeypatch):
+    monkeypatch.chdir(BENCH.parent)     # the corpus path is relative to the checkout
+    assert_pinned_digest(command)

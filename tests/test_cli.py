@@ -148,6 +148,12 @@ class TestCheck:
             run(capsys, ["check", CORPUS, "--max-n", max_n])
             assert builds == [(count, 1), (count, 2), (count, 3)], max_n
 
+    def test_orders_extend_one_chain(self, capsys, series_ops):
+        # order 1 inverts the generating function once; orders 2 and 3 each
+        # extend the order below by one product
+        run(capsys, ["check", CORPUS, "--max-n", "10"])
+        assert series_ops == {"inverse": 1, "mul": 2}
+
 
 class TestPadic:
     ARGS = ["padic", "--p", "3", "--w", "4", "--poly", "1", "--levels", "4", "--prec", "12"]
@@ -247,8 +253,10 @@ class TestPlumbing:
         argv = [sys.executable, "-m", "weuler.cli",
                 "verify", "--suite", "paper", "--max-n", "4", "--max-k", "1",
                 "--format", "json"]
-        a = subprocess.run(argv, capture_output=True, text=True)
-        b = subprocess.run(argv, capture_output=True, text=True)
+        # the children import the weuler under test, with or without PYTHONPATH
+        env = dict(os.environ, PYTHONPATH=str(Path(weuler.__file__).resolve().parents[1]))
+        a = subprocess.run(argv, capture_output=True, text=True, env=env)
+        b = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 

@@ -270,15 +270,90 @@ class TestEulerTable:
 
     @pytest.mark.parametrize("w", [None, Fraction(4)], ids=["symbolic", "w=4"])
     def test_build_rejects_a_wrong_leading_number(self, monkeypatch, w):
-        real = euler.order_k_numbers
+        # a generating function with a wrong constant term gives a wrong E_0
+        real = euler.weighted_euler_gf
 
-        def wrong_e0(count, order=1, w=None):
-            numbers = real(count, order, w)
-            return [numbers[0] + 1, *numbers[1:]]
+        def wrong_e0(precision, order=1, w=None):
+            return real(precision, order, w).add_constant(1)
 
-        monkeypatch.setattr(euler, "order_k_numbers", wrong_e0)
+        monkeypatch.setattr(euler, "weighted_euler_gf", wrong_e0)
         with pytest.raises(AssertionError, match="degree law broken at n=0"):
             EulerTable.build(5, 2, w=w)
+
+
+class TestTableChain:
+    @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)],
+                             ids=["symbolic", "w=4", "w=-3/2"])
+    def test_chain_equals_independent_builds(self, w):
+        lower = None
+        for k in range(1, 5):
+            lower = EulerTable.build(8, k, w=w, lower=lower)
+            fresh = EulerTable.build(8, k, w=w)
+            assert lower.order == k and lower.w0 == fresh.w0
+            assert lower.numbers == fresh.numbers
+            assert lower.polys == fresh.polys
+
+    def test_one_product_per_extension(self, series_ops):
+        t2 = EulerTable.build(8, 2, lower=EulerTable.build(8, 1))
+        EulerTable.build(8, 3, lower=t2)
+        assert series_ops == {"inverse": 1, "mul": 2}
+
+    @pytest.mark.parametrize("count, order, w, lower_w", [
+        (7, 2, None, None), (9, 2, None, None), (8, 2, 4, None), (8, 2, None, Fraction(-3, 2)),
+        (8, 2, 4, Fraction(-3, 2)), (8, 3, None, None),
+    ], ids=["shorter", "longer", "weighted", "symbolic", "other weight", "skips an order"])
+    def test_build_rejects_a_mismatched_lower_table(self, count, order, w, lower_w):
+        lower = EulerTable.build(8, 1, w=lower_w)
+        with pytest.raises(ValueError, match="cannot extend"):
+            EulerTable.build(count, order, w=w, lower=lower)
+
+    def test_perturbed_lower_table_extends_its_own_numbers(self):
+        t2 = EulerTable.build(8, 2)
+        t3 = EulerTable.build(8, 3, lower=t2.with_perturbed_number(4))
+        fresh = EulerTable.build(8, 3)
+        assert t3.numbers[:4] == fresh.numbers[:4]
+        assert t3.numbers[4] != fresh.numbers[4]
+
+    def test_suite_never_extends_a_supplied_table(self, monkeypatch):
+        perturbed = EulerTable.build(8, 1).with_perturbed_number(3)
+        built = []
+        real_build = EulerTable.build
+
+        def recording_build(count, order=1, w=None, lower=None):
+            assert lower is not perturbed
+            table = real_build(count, order, w=w, lower=lower)
+            built.append(table)
+            return table
+
+        monkeypatch.setattr(EulerTable, "build", recording_build)
+        report = verify_paper_suite(8, 3, tables={1: perturbed})
+        assert not report.passed
+        chain = {t.order: t for t in built if t.w0 is None}
+        assert sorted(chain) == [1, 2, 3]
+        for k in (2, 3):
+            fresh = real_build(8, k)
+            assert chain[k].numbers == fresh.numbers
+            assert chain[k].polys == fresh.polys
+
+    def test_faulty_chain_is_caught_by_the_power_then_invert_route(self):
+        # an order-3 table extended from a perturbed order-2 table is what a
+        # faulty product chain would build; (g) and (h) recompute GF^3 as
+        # (g^3)^{-1}, not along the chain, so both must fail at k = 3
+        faulty = EulerTable.build(8, 3, lower=EulerTable.build(8, 2).with_perturbed_number(4))
+        report = verify_paper_suite(8, 3, tables={3: faulty})
+        by_label = {r.check[:3]: r for r in report.results}
+        for label in ("(g)", "(h)"):
+            assert by_label[label].status == "fail"
+            assert by_label[label].counterexample["k"] == 3
+            assert by_label[label].counterexample["n"] == 4
+        for label in ("(a)", "(b)", "(c)", "(d)", "(e)", "(f)", "(j)", "(k)"):
+            assert by_label[label].status == "pass"
+
+    def test_suite_series_operation_budget(self, series_ops):
+        # the order 1..4 chain: 1 inverse, 3 products; GF: 1 inverse;
+        # (c): 1 product; (g)/(h): 3 powers of g, 3 inverses; (k) at w=1: 1 inverse
+        assert verify_paper_suite(12, 4).passed
+        assert series_ops["inverse"] <= 7 and series_ops["mul"] <= 7, series_ops
 
 
 class TestVerifySuite:

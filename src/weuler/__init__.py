@@ -20,7 +20,6 @@ from .umbral import (
     apply_functional,
     biorthogonality_check,
     expand_in_basis,
-    multinomial_pairing,
     pairing,
     sheffer_basis,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "sheffer_basis",
     "biorthogonality_check",
     "expand_in_basis",
-    "multinomial_pairing",
     "EulerTable",
     "Report",
     "weighted_euler_gf",

@@ -15,8 +15,9 @@ import sys
 from fractions import Fraction
 
 from .dsl import TableContext, check_corpus
-from .euler import EulerTable, latex_numbers_rows, latex_polys_rows, verify_paper_suite
+from .euler import EulerTable, verify_paper_suite
 from .padic import convergence_report, is_admissible_weight, is_odd_prime, shift_identity_check
+from .ratfunc import Polynomial
 
 FORMATS = ("text", "json", "latex")
 
@@ -113,20 +114,6 @@ def _resolve_format(args) -> str:
     return fmt
 
 
-def _table_json(table: EulerTable, command: str, max_n: int) -> dict:
-    payload = {
-        "command": command,
-        "maxN": max_n,
-        "order": table.order,
-        "w": None if table.w0 is None else str(table.w0),
-    }
-    if command == "numbers":
-        payload["values"] = [table.field.render(v) for v in table.numbers]
-    else:
-        payload["values"] = [p.to_json() for p in table.polys]
-    return payload
-
-
 def _run_table(args, command: str) -> int:
     fmt = _resolve_format(args)
     if args.max_n < 1:
@@ -137,14 +124,24 @@ def _run_table(args, command: str) -> int:
     if w == -1:
         raise UsageError("w = -1 is a pole of the generating function")
     table = EulerTable.build(args.max_n, args.order, w=w)
-    if fmt == "json":
-        text = json.dumps(_table_json(table, command, args.max_n), indent=2)
-    elif fmt == "latex":
-        text = latex_numbers_rows(table) if command == "numbers" else latex_polys_rows(table)
+    field = table.field
+    if command == "numbers":
+        values, render, to_json, latex = table.numbers, field.render, field.render, field.latex
     else:
-        source = table.numbers if command == "numbers" else table.polys
-        render = table.field.render if command == "numbers" else str
-        text = "\n".join(f"{n}: {render(v)}" for n, v in enumerate(source))
+        values, render, to_json, latex = table.polys, str, Polynomial.to_json, Polynomial.latex
+    if fmt == "json":
+        payload = {
+            "command": command,
+            "maxN": args.max_n,
+            "order": table.order,
+            "w": None if table.w0 is None else str(table.w0),
+            "values": [to_json(v) for v in values],
+        }
+        text = json.dumps(payload, indent=2)
+    elif fmt == "latex":
+        text = "\n".join(f"{n} & ${latex(v)}$ \\\\" for n, v in enumerate(values))
+    else:
+        text = "\n".join(f"{n}: {render(v)}" for n, v in enumerate(values))
     _emit(text, args.out)
     return EXIT_OK
 
@@ -231,7 +228,11 @@ def _run_padic(args) -> int:
         }
         text = json.dumps(payload, indent=2)
     elif fmt == "latex":
-        rows = [f"{r.level} & {r.deviation_valuation} \\\\" for r in convergence.rows]
+        rows = []
+        for r in convergence.rows:
+            # an exactly-zero deviation shows its guard as a lower bound, as in text
+            v = f"$\\geq {r.deviation_valuation}$" if r.exact_zero else r.deviation_valuation
+            rows.append(f"{r.level} & {v} \\\\")
         text = "\n".join(rows)
     else:
         text = convergence.render_text() + "\n\nshift identity:\n" + shift.render_text()

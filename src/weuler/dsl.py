@@ -20,6 +20,10 @@ from .ratfunc import QW, W, Polynomial, binomial, join_signed
 
 KEYWORDS = {"forall", "in", "sum", "binom", "E", "Ek", "w", "x"}
 
+# the message of a line whose parse, reach walk or evaluation exceeds
+# Python's recursion limit
+TOO_DEEP = "expression nested too deeply"
+
 
 class DslParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -465,7 +469,10 @@ class _Parser:
 
 
 def parse_identity(text: str, line: int = 1) -> Identity:
-    return _Parser(tokenize(text, line)).identity(text.strip())
+    try:
+        return _Parser(tokenize(text, line)).identity(text.strip())
+    except RecursionError:
+        raise DslParseError(TOO_DEEP, line, 1) from None
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +627,18 @@ def _reach(ast: Identity, max_n: Optional[int]) -> int:
 def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
     hi = _checked_top(ast, max_n)
-    ctx.max_index = max(ctx.max_index, _reach(ast, max_n))
+    try:
+        ctx.max_index = max(ctx.max_index, _reach(ast, max_n))
+    except RecursionError:
+        return Verdict("error", ast.source, message=TOO_DEEP)
     for n in range(ast.lo, hi + 1):
         env = {ast.var: n}
         try:
             diff = evaluate_expr(ast.lhs, env, ctx) - evaluate_expr(ast.rhs, env, ctx)
         except DslEvalError as exc:
             return Verdict("error", ast.source, at=n, message=str(exc))
+        except RecursionError:
+            return Verdict("error", ast.source, at=n, message=TOO_DEEP)
         if not diff.is_zero():
             return Verdict("fail", ast.source, at=n, difference=str(diff))
     return Verdict("pass", ast.source)
@@ -644,7 +656,11 @@ def check_corpus(text: str, ctx: TableContext, max_n: Optional[int] = None) -> l
         except DslParseError as exc:
             parsed.append(Verdict("error", stripped, message=str(exc),
                                   location=(exc.line, exc.column)))
-    reaches = [_reach(item, max_n) for item in parsed if isinstance(item, Identity)]
-    ctx.max_index = max([ctx.max_index, *reaches])
+    for item in parsed:
+        if isinstance(item, Identity):
+            try:
+                ctx.max_index = max(ctx.max_index, _reach(item, max_n))
+            except RecursionError:
+                pass               # check_identity gives the line its error verdict
     return [item if isinstance(item, Verdict) else check_identity(item, ctx, max_n=max_n)
             for item in parsed]

@@ -114,23 +114,24 @@ def classical_euler_polys(count: int) -> list[Polynomial]:
 
 
 class EulerTable:
-    """Numbers and polynomials of one order, symbolic or evaluated at w0.
+    """The numbers E^{(k)}_{n,w} of one order, symbolic or evaluated at w0.
 
-    The raw constructor stores what it is given (tests inject faults through
-    it); build() derives the numbers from the generating function and checks
-    the structural invariant.  Polynomials not given are built from the
-    numbers on first read, so a table of numbers alone never builds them.
+    Order, numbers and weight are all a table holds: the field is Q(w) when
+    w0 is None and Q otherwise, and the polynomials
+    p_n = sum_l C(n,l) E_{n-l} x^l are built from the numbers on first read,
+    so a table of numbers alone never builds them.  The constructor stores
+    the numbers it is given (tests inject faults through it); build()
+    derives them from the generating function and checks the structural
+    invariant.
     """
 
-    __slots__ = ("field", "order", "w0", "numbers", "_polys", "_gf")
+    __slots__ = ("order", "numbers", "w0", "_polys", "_gf")
 
-    def __init__(self, field, order: int, numbers: Sequence,
-                 polys: Optional[Sequence[Polynomial]] = None, w0=None):
-        self.field = field
+    def __init__(self, order: int, numbers: Sequence, w0=None):
         self.order = order
-        self.w0 = w0
         self.numbers = tuple(numbers)
-        self._polys = None if polys is None else tuple(polys)
+        self.w0 = w0
+        self._polys = None
         self._gf = None              # the order-1 series build() multiplied by
 
     @classmethod
@@ -165,9 +166,13 @@ class EulerTable:
         # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
         if numbers[0] != (field.of(2) / (wv + 1)) ** order:
             raise AssertionError("degree law broken at n=0")
-        table = cls(field, order, numbers, w0=w0)
+        table = cls(order, numbers, w0)
         table._gf = gf
         return table
+
+    @property
+    def field(self):
+        return QW if self.w0 is None else QQ
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -184,21 +189,17 @@ class EulerTable:
         return W if self.w0 is None else QQ.of(self.w0)
 
     def evaluate(self, w0) -> "EulerTable":
-        """Specialize a symbolic table at w = w0."""
+        """Specialize a symbolic table's numbers at w = w0."""
         if self.w0 is not None:
             raise ValueError("table is already evaluated")
         w0 = Fraction(w0)
-        numbers = [r.eval_at(w0) for r in self.numbers]
-        polys = None
-        if self._polys is not None:
-            polys = [Polynomial(QQ, [c.eval_at(w0) for c in p.coeffs]) for p in self._polys]
-        return EulerTable(QQ, self.order, numbers, polys, w0=w0)
+        return EulerTable(self.order, [r.eval_at(w0) for r in self.numbers], w0)
 
     def with_perturbed_number(self, n: int, delta=1) -> "EulerTable":
         """Fault injection: bump E_n; the polynomials follow from the numbers."""
         numbers = list(self.numbers)
         numbers[n] = numbers[n] + self.field.of(delta)
-        return EulerTable(self.field, self.order, numbers, w0=self.w0)
+        return EulerTable(self.order, numbers, self.w0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +412,3 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
         results.append(CheckResult(label, "pass") if failure is None else CheckResult(label, "fail", failure))
     results.sort(key=lambda r: r.check)
     return Report(max_n, max_k, results)
-
-
-# ---------------------------------------------------------------------------
-# LaTeX table bodies
-
-
-def latex_numbers_rows(table: EulerTable) -> str:
-    """Tabular rows `n & value \\\\` for the numbers of one order."""
-    rows = []
-    for n, value in enumerate(table.numbers):
-        rows.append(f"{n} & ${table.field.latex(value)}$ \\\\")
-    return "\n".join(rows)
-
-
-def latex_polys_rows(table: EulerTable) -> str:
-    rows = []
-    for n, p in enumerate(table.polys):
-        rows.append(f"{n} & ${p.latex()}$ \\\\")
-    return "\n".join(rows)

@@ -31,6 +31,21 @@ def multinomial(n: int, parts) -> int:
     return out
 
 
+def binary_power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply, starting from `one`.
+
+    Squares once per bit of n, the top bit included, so the number of
+    products depends only on n.
+    """
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Dense polynomials over a coefficient field
 
@@ -172,14 +187,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        out = self._new([self.field.one])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, self._new([self.field.one]))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
@@ -601,14 +609,7 @@ class WRational:
     def __pow__(self, n: int) -> "WRational":
         if n < 0:
             return (WRational(1) / self) ** (-n)
-        out = WRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, WRational(1))
 
     def eval_at(self, w0) -> Fraction:
         """Exact value at w = w0; raises on a pole."""
@@ -801,7 +802,10 @@ class _WRatParser:
 
 def _parse_wrational(text: str) -> WRational:
     parser = _WRatParser(_lex_wrational(text))
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     parser.take("end")
     return out
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .ratfunc import binary_power
+
 
 class Series:
     """Coefficients c_0..c_{N-1} over `field` with precision N.
@@ -167,14 +169,7 @@ class Series:
     def __pow__(self, n: int) -> "Series":
         if n < 0:
             raise ValueError("negative series power; use inverse() first")
-        out = Series.one(self.field, self.precision)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, Series.one(self.field, self.precision))
 
     # -- the umbral toolkit -------------------------------------------------
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .ratfunc import Polynomial, multinomial
+from .ratfunc import Polynomial
 from .series import Series
 
 
@@ -127,40 +127,3 @@ def expand_in_basis(p: Polynomial, pair: ShefferPair, basis: Sequence[Polynomial
         out.append(pairing(gfk, p) * Fraction(1, math.factorial(k)))
         gfk = gfk * pair.f
     return out
-
-
-def compositions(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of m nonnegative integers summing to n."""
-    if m == 0:
-        if n == 0:
-            yield ()
-        return
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, m - 1):
-            yield (first,) + rest
-
-
-def multinomial_pairing(fs: Sequence[Series], n: int):
-    """Both sides of the product-pairing identity.
-
-    Returns (<f_1 ... f_m | x^n>, the multinomial-weighted sum over all
-    compositions i_1 + ... + i_m = n of prod_j <f_j | x^{i_j}>).
-    """
-    if not fs:
-        raise ValueError("need at least one series")
-    field = fs[0].field
-    product = fs[0]
-    for f in fs[1:]:
-        product = product * f
-    xn = Polynomial.monomial(field, n)
-    lhs = pairing(product, xn)
-    rhs = field.zero
-    for parts in compositions(n, len(fs)):
-        term = field.of(multinomial(n, parts))
-        for f, i in zip(fs, parts):
-            term = term * pairing(f, Polynomial.monomial(field, i))
-        rhs = rhs + term
-    return lhs, rhs

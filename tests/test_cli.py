@@ -128,6 +128,14 @@ class TestCheck:
         out = run(capsys, ["check", str(err), "--max-n", "3"], expect=EXIT_RUNTIME)
         assert "negative index" in out
 
+    def test_over_deep_lines_are_errors(self, capsys, tmp_path):
+        deep = tmp_path / "deep.uid"
+        deep.write_text("forall n in 0..2 : E(n) = E(n)\n"
+                        "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)\n"
+                        "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)\n")
+        out = run(capsys, ["check", str(deep), "--max-n", "2"], expect=EXIT_USAGE)
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "ERROR", "ERROR"]
+
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 
@@ -167,6 +175,18 @@ class TestPadic:
     def test_text_report(self, capsys):
         out = run(capsys, self.ARGS)
         assert "v_p(S_m - exact)" in out and "shift identity:" in out
+
+    def test_latex_rows(self, capsys):
+        out = run(capsys, self.ARGS + ["--format", "latex"])
+        assert out.splitlines() == [r"1 & 2 \\", r"2 & 3 \\", r"3 & 4 \\", r"4 & 5 \\"]
+
+    def test_latex_marks_an_exact_zero_as_a_bound(self, capsys):
+        # at w = 1 every partial sum of f = 1 equals the limit; the row shows
+        # the guard valuation as a lower bound, as the text report does
+        args = ["padic", "--p", "3", "--w", "1", "--poly", "1", "--levels", "3", "--prec", "12"]
+        assert "    1             >= 48  1" in run(capsys, args)
+        out = run(capsys, args + ["--format", "latex"])
+        assert out.splitlines() == [rf"{m} & $\geq 48$ \\" for m in (1, 2, 3)]
 
     def test_polynomial_argument(self, capsys):
         payload = run_json(capsys, self.ARGS[:5] + ["--poly", "0,1/2,3"] + self.ARGS[7:])

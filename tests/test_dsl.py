@@ -5,6 +5,7 @@ import importlib.resources
 import pytest
 
 from weuler.dsl import (
+    TOO_DEEP,
     DslParseError,
     TableContext,
     check_corpus,
@@ -16,6 +17,11 @@ from weuler.dsl import (
 from weuler.euler import EulerTable
 
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
+
+# past Python's default recursion limit: 400 nested parentheses, and a sum
+# whose 3000 terms make a left-deep tree 3000 nodes tall
+DEEP_PARENS = "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)"
+LONG_SUM = "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)"
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,12 @@ class TestParser:
         assert err.value.column == column
         assert fragment in str(err.value)
         assert f"syntax error at {line}:{column}" in str(err.value)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(DslParseError) as err:
+            parse_identity(DEEP_PARENS, line=7)
+        assert (err.value.line, err.value.column) == (7, 1)
+        assert TOO_DEEP in str(err.value)
 
     def test_multiline_corpus_positions(self, ctx):
         corpus = "# header\n\nforall n in 0..2 : x = x\nforall n in 0..2 : x +\n"
@@ -183,6 +195,17 @@ class TestCorpus:
         verdicts = check_corpus(corpus, ctx)
         assert [v.status for v in verdicts] == ["pass", "fail", "error"]
         assert verdicts[2].location == (3, 25)
+
+    def test_over_deep_lines_are_errors(self, ctx):
+        corpus = "\n".join(["forall n in 0..2 : E(n) = E(n)", DEEP_PARENS, LONG_SUM])
+        verdicts = check_corpus(corpus, ctx)
+        assert [v.status for v in verdicts] == ["pass", "error", "error"]
+        assert verdicts[1].location == (2, 1)
+        assert verdicts[2].location is None and verdicts[2].message == TOO_DEEP
+
+    def test_check_identity_reports_an_over_deep_sum(self, ctx):
+        verdict = check_identity(parse_identity(LONG_SUM), ctx)
+        assert (verdict.status, verdict.message) == ("error", TOO_DEEP)
 
     def test_ascending_ranges_build_each_order_once(self, monkeypatch):
         builds = []

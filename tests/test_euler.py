@@ -11,8 +11,6 @@ from weuler import cli, euler
 from weuler.euler import (
     EulerTable,
     classical_euler_polys,
-    latex_numbers_rows,
-    latex_polys_rows,
     order_k_multinomial,
     order_k_numbers,
     verify_paper_suite,
@@ -20,7 +18,7 @@ from weuler.euler import (
     weighted_euler_numbers,
     weighted_euler_polys,
 )
-from weuler.ratfunc import QW, W, binomial
+from weuler.ratfunc import QQ, QW, W, binomial
 from weuler.series import exp_series
 from weuler.umbral import XPolynomial, apply_functional, pairing
 
@@ -260,13 +258,27 @@ class TestEulerTable:
         assert cli.main(["numbers", "--max-n", "6", "--w", "4"]) == cli.EXIT_OK
         assert capsys.readouterr().out.startswith("0: 2/5\n")
 
-    def test_explicit_polys_are_kept(self):
-        t = EulerTable.build(4, 1)
-        fake = [p + 1 for p in t.polys]
-        injected = EulerTable(t.field, 1, t.numbers, fake)
-        assert injected.polys == tuple(fake)
-        evaluated = injected.evaluate(Fraction(4)).polys
-        assert evaluated[0].coefficient(0) == Fraction(2, 5) + 1
+    @pytest.mark.parametrize("w0", [Fraction(4), Fraction(-3, 2), Fraction(1)], ids=str)
+    def test_evaluate_after_reading_polys(self, w0):
+        # evaluate specializes the numbers only; the polynomials it reads are
+        # rebuilt over Q from them, whatever the symbolic table had built
+        sym = EulerTable.build(7, 2)
+        assert sym.polys[6].degree == 6
+        evaluated = sym.evaluate(w0)
+        direct = EulerTable.build(7, 2, w=w0)
+        assert evaluated.numbers == direct.numbers
+        assert evaluated.polys == direct.polys
+        assert evaluated.order == 2 and evaluated.w0 == w0
+
+    def test_field_follows_the_weight(self):
+        sym = EulerTable.build(4, 1)
+        num = EulerTable.build(4, 1, w=4)
+        tables = [sym, num, sym.evaluate(4), sym.with_perturbed_number(1),
+                  num.with_perturbed_number(1), EulerTable(1, sym.numbers),
+                  EulerTable(1, num.numbers, Fraction(4))]
+        for t in tables:
+            assert t.field is (QW if t.w0 is None else QQ)
+        assert [t.field for t in tables[:4]] == [QW, QQ, QQ, QW]
 
     @pytest.mark.parametrize("w", [None, Fraction(4)], ids=["symbolic", "w=4"])
     def test_build_rejects_a_wrong_leading_number(self, monkeypatch, w):
@@ -450,12 +462,14 @@ class TestVerifySuite:
 
 
 class TestLatex:
-    def test_numbers_rows(self):
-        rows = latex_numbers_rows(EulerTable.build(2, 1)).splitlines()
+    def test_numbers_rows(self, capsys):
+        assert cli.main(["numbers", "--max-n", "2", "--format", "latex"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
         assert rows[0] == r"0 & $\frac{2}{(1 + w)}$ \\"
         assert all(row.endswith(r"\\") for row in rows)
 
-    def test_polys_rows(self):
-        rows = latex_polys_rows(EulerTable.build(2, 1)).splitlines()
+    def test_polys_rows(self, capsys):
+        assert cli.main(["polys", "--max-n", "2", "--format", "latex"]) == cli.EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
         assert len(rows) == 2
         assert all("&" in row and row.endswith(r"\\") for row in rows)

@@ -1,0 +1,34 @@
+"""The public surface the README documents: its library example and weuler.__all__."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import weuler
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def python_blocks(text: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.S | re.M)
+
+
+def test_readme_library_example_runs_as_written():
+    blocks = python_blocks(README.read_text(encoding="utf-8"))
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_example"})
+    lines = out.getvalue().splitlines()
+    # the values the example's comments promise
+    assert "True" in lines and "result: ALL PASS" in lines
+    assert lines[-1] == "[2, 3, 4, 5]"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in weuler.__all__ if not hasattr(weuler, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from weuler import *", namespace)
+    assert set(weuler.__all__) <= set(namespace)

@@ -12,6 +12,7 @@ from weuler.ratfunc import (
     W,
     WPolynomial,
     WRational,
+    binary_power,
     binomial,
     multinomial,
     one_plus_w_pow,
@@ -105,6 +106,11 @@ class TestRendering:
         with pytest.raises(ValueError, match="unexpected character 'v'"):
             QW.parse("2*v")
 
+    def test_parse_rejects_deep_nesting(self):
+        assert QW.parse("(" * 50 + "w" + ")" * 50) == W
+        with pytest.raises(ValueError, match="nested too deeply"):
+            QW.parse("(" * 300 + "w" + ")" * 300)
+
     @given(rationals())
     @settings(max_examples=50, deadline=None)
     def test_render_parse_round_trip(self, r):
@@ -177,6 +183,20 @@ class TestPolynomialHelpers:
         a = WPolynomial(QQ, (frac(-1), frac(0), frac(1)), "w")
         q, r = a.divmod(WPolynomial(QQ, (frac(1), frac(1)), "w"))
         assert str(q) == "w - 1" and r.is_zero()
+
+    def test_binary_power_product_order(self):
+        # words concatenate, so each product is logged by its two factors;
+        # the last squaring is made even though its result is not used
+        log = []
+
+        class Word(str):
+            def __mul__(self, other):
+                log.append((str(self), str(other)))
+                return Word(self + other)
+
+        assert binary_power(Word("a"), 5, Word("")) == "aaaaa"
+        assert log == [("", "a"), ("a", "a"), ("aa", "aa"), ("a", "aaaa"), ("aaaa", "aaaa")]
+        assert binary_power(Word("a"), 0, Word("")) == ""
 
 
 class TestCombinatorics:

@@ -15,9 +15,7 @@ from weuler.umbral import (
     appell_basis,
     apply_functional,
     biorthogonality_check,
-    compositions,
     expand_in_basis,
-    multinomial_pairing,
     pairing,
     sheffer_basis,
 )
@@ -189,26 +187,3 @@ class TestSheffer:
         g = exp_series(QW, QW.one, 6).scale(W).add_constant(QW.one).scale(QW.parse("1/2"))
         basis = appell_basis(g, 3)
         assert str(basis[0]) == "2/(1 + w)"
-
-
-class TestMultinomial:
-    def test_compositions(self):
-        assert list(compositions(3, 2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
-        assert list(compositions(0, 0)) == [()]
-        assert sum(1 for _ in compositions(6, 3)) == 28
-
-    def test_pairing_product_rule(self):
-        fs = [
-            exp_series(QQ, Fraction(1), 7),
-            Series(QQ, [Fraction(1), Fraction(2), Fraction(0), Fraction(1)], 7),
-            Series(QQ, [Fraction(2), Fraction(-1)], 7),
-        ]
-        for n in range(6):
-            lhs, rhs = multinomial_pairing(fs, n)
-            assert lhs == rhs
-
-    def test_symbolic(self):
-        g = exp_series(QW, QW.one, 6).scale(W).add_constant(QW.one).scale(QW.parse("1/2"))
-        ginv = g.inverse()
-        lhs, rhs = multinomial_pairing([ginv, ginv], 4)
-        assert lhs == rhs

@@ -523,6 +523,21 @@ def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
     return value
 
 
+def _binop_chain(node: BinOp) -> tuple:
+    """(leftmost operand, [(op, right operand), ...] in the order they apply).
+
+    The parser builds a + b - c as ((a + b) - c), a tree as tall as the sum
+    is long; walking its left spine in a loop keeps a long sum or product
+    from recursing once per term.
+    """
+    steps = []
+    while isinstance(node, BinOp):
+        steps.append((node.op, node.right))
+        node = node.left
+    steps.reverse()
+    return node, steps
+
+
 def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
     """Exact polynomial in x over Q(w); env binds every index variable."""
     if isinstance(node, Lit):
@@ -549,8 +564,11 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
             acc = acc + evaluate_expr(node.body, inner, ctx)
         return acc
     if isinstance(node, BinOp):
-        apply = _BINOPS[node.op][1]
-        return apply(evaluate_expr(node.left, env, ctx), evaluate_expr(node.right, env, ctx))
+        first, steps = _binop_chain(node)
+        acc = evaluate_expr(first, env, ctx)
+        for op, right in steps:
+            acc = _BINOPS[op][1](acc, evaluate_expr(right, env, ctx))
+        return acc
     if isinstance(node, PowExpr):
         exp = _index_value(node.exponent, env, "exponent")
         return evaluate_expr(node.base, env, ctx) ** exp
@@ -606,7 +624,8 @@ def _node_reach(node, env: dict) -> int:
             reach = max(reach, _node_reach(node.body, inner))
         return reach
     if isinstance(node, BinOp):
-        return max(_node_reach(node.left, env), _node_reach(node.right, env))
+        first, steps = _binop_chain(node)
+        return max([_node_reach(first, env)] + [_node_reach(right, env) for _, right in steps])
     if isinstance(node, PowExpr):
         return _node_reach(node.base, env)
     return -1

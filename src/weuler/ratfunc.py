@@ -473,7 +473,21 @@ QQ = RationalField()
 
 _W_ZERO = _wpoly(())
 _W_ONE = _wpoly((Fraction(1),))
-_W_PLUS_ONE = _wpoly((Fraction(1), Fraction(1)))
+
+
+def _div_w_plus_one(coeffs) -> list | None:
+    """The quotient of a_0 + ... + a_d w^d by w + 1 when it divides, else None.
+
+    One Ruffini pass at w = -1: q_{d-1} = a_d, q_{i-1} = a_i - q_i, and the
+    remainder a_0 - q_0 is the value at -1.
+    """
+    quot = [coeffs[-1]]
+    for a in coeffs[-2:0:-1]:
+        quot.append(a - quot[-1])
+    if coeffs[0] != quot[-1]:
+        return None
+    quot.reverse()
+    return quot
 
 
 def _as_wpoly(value) -> Polynomial:
@@ -509,10 +523,14 @@ class WRational:
         m = _as_one_plus_w_power(den)
         if m is not None:
             # hot path: strip shared (1 + w) factors by synthetic division
-            while m > 0 and num.eval_at(-1) == 0:
-                num = num.divexact(_W_PLUS_ONE)
+            coeffs = num.coeffs
+            while m > 0 and len(coeffs) > 1:
+                quot = _div_w_plus_one(coeffs)
+                if quot is None:
+                    break
+                coeffs = quot
                 m -= 1
-            self.num = num
+            self.num = num if coeffs is num.coeffs else _wpoly(coeffs)
             self.den = one_plus_w_pow(m) if m else _W_ONE
             return
         g = poly_gcd(num, den)

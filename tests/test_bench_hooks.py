@@ -3,9 +3,10 @@
 bench/tracing.py wraps weuler's layer functions from outside, by looking
 each one up by name (methods in their class's ``__dict__``).  A rename or a
 moved method breaks ``--trace 1`` runs of the benchmark; these tests make
-that a fast failure here instead.  The fixed-weight table commands and the
-suite workload's two commands must also still print the output whose
-SHA-256 bench/workloads.py pins.  The bench files are only imported.
+that a fast failure here instead.  The table commands, symbolic and at a
+fixed weight, and the suite workload's two commands must also still print
+the output whose SHA-256 bench/workloads.py pins.  The bench files are only
+imported.
 """
 
 import contextlib
@@ -86,6 +87,12 @@ def assert_pinned_digest(command):
 @pytest.mark.parametrize("command", ["numbers --max-n 400 --w 4",
                                      "polys --max-n 160 --w=-3/2 --order 3"])
 def test_fixed_weight_tables_match_pinned_digest(command):
+    assert_pinned_digest(command)
+
+
+@pytest.mark.parametrize("command", ["numbers --max-n 32",
+                                     "polys --max-n 24 --order 2"])
+def test_symbolic_tables_match_pinned_digest(command):
     assert_pinned_digest(command)
 
 

@@ -132,9 +132,11 @@ class TestCheck:
         deep = tmp_path / "deep.uid"
         deep.write_text("forall n in 0..2 : E(n) = E(n)\n"
                         "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)\n"
-                        "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)\n")
+                        "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)\n"
+                        "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 2999*E(n)\n")
         out = run(capsys, ["check", str(deep), "--max-n", "2"], expect=EXIT_USAGE)
-        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "ERROR", "ERROR"]
+        assert [line.split()[0] for line in out.splitlines()] == ["PASS", "ERROR", "PASS", "FAIL"]
+        assert out.splitlines()[3].endswith("at 0: difference 2/(1 + w)")
 
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)

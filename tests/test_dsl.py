@@ -18,10 +18,11 @@ from weuler.euler import EulerTable
 
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 
-# past Python's default recursion limit: 400 nested parentheses, and a sum
-# whose 3000 terms make a left-deep tree 3000 nodes tall
+# 400 nested parentheses are past Python's default recursion limit; a sum of
+# 3000 terms, a left-deep tree 3000 nodes tall, is walked without recursing
 DEEP_PARENS = "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)"
 LONG_SUM = "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)"
+WRONG_LONG_SUM = LONG_SUM.replace("3000*", "2999*")
 
 
 @pytest.fixture(scope="module")
@@ -197,15 +198,18 @@ class TestCorpus:
         assert verdicts[2].location == (3, 25)
 
     def test_over_deep_lines_are_errors(self, ctx):
-        corpus = "\n".join(["forall n in 0..2 : E(n) = E(n)", DEEP_PARENS, LONG_SUM])
+        corpus = "\n".join(["forall n in 0..2 : E(n) = E(n)", DEEP_PARENS, LONG_SUM,
+                            WRONG_LONG_SUM])
         verdicts = check_corpus(corpus, ctx)
-        assert [v.status for v in verdicts] == ["pass", "error", "error"]
-        assert verdicts[1].location == (2, 1)
-        assert verdicts[2].location is None and verdicts[2].message == TOO_DEEP
+        assert [v.status for v in verdicts] == ["pass", "error", "pass", "fail"]
+        assert verdicts[1].location == (2, 1) and TOO_DEEP in verdicts[1].message
+        assert verdicts[3].at == 0
 
-    def test_check_identity_reports_an_over_deep_sum(self, ctx):
+    def test_check_identity_decides_a_long_sum(self, ctx):
         verdict = check_identity(parse_identity(LONG_SUM), ctx)
-        assert (verdict.status, verdict.message) == ("error", TOO_DEEP)
+        assert verdict.status == "pass"
+        verdict = check_identity(parse_identity(WRONG_LONG_SUM), ctx)
+        assert (verdict.status, verdict.at, verdict.difference) == ("fail", 0, "2/(1 + w)")
 
     def test_ascending_ranges_build_each_order_once(self, monkeypatch):
         builds = []

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weuler.ratfunc import (
@@ -65,6 +65,52 @@ class TestCanonicalForm:
     def test_zero_normalizes(self):
         assert (W - W).is_zero()
         assert str(W - W) == "0"
+
+
+def wpoly(*coeffs):
+    return WPolynomial(QQ, coeffs, "w")
+
+
+class TestOnePlusWPowerPath:
+    """WRational(P*(1+w)^j, (1+w)^m) strips the shared (1 + w) factors by synthetic division."""
+
+    @staticmethod
+    def reference(num, den) -> WRational:
+        # the general canonical form: divide by the gcd, then make den monic
+        g = poly_gcd(num, den)
+        num, den = num.divexact(g), den.divexact(g)
+        out = object.__new__(WRational)
+        out.num, out.den = num.scale(1 / den.leading), den.scale(1 / den.leading)
+        return out
+
+    @given(polys(max_degree=4), st.integers(0, 6), st.integers(0, 6))
+    @example(wpoly(), 3, 4)
+    @example(wpoly(frac(-3, 2)), 0, 5)
+    @example(wpoly(frac(7)), 6, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_gcd_reduction(self, p, j, m):
+        num, den = p * one_plus_w_pow(j), one_plus_w_pow(m)
+        got, want = WRational(num, den), self.reference(num, den)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("p, j, m, left", [
+        (wpoly(frac(3), frac(1, 2)), 4, 6, 2),     # stops where 3 + w/2 does not divide
+        (wpoly(frac(1)), 5, 2, 0),                 # the whole denominator goes
+        (wpoly(frac(-2)), 0, 3, 3),                # a constant never divides
+    ])
+    def test_calls_neither_eval_at_nor_divexact(self, monkeypatch, p, j, m, left):
+        num, den = p * one_plus_w_pow(j), one_plus_w_pow(m)
+        want = self.reference(num, den)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the (1 + w)^m path evaluated or long-divided")
+
+        monkeypatch.setattr(WPolynomial, "eval_at", forbidden)
+        monkeypatch.setattr(WPolynomial, "divexact", forbidden)
+        got = WRational(num, den)
+        assert got.den.degree == left
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
 
 
 class TestRendering:

@@ -186,11 +186,27 @@ class SumExpr:
         return f"sum({self.var} = {self.lo.render()}..{self.hi.render()}, {render_expr(self.body)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinOp:
     op: str                        # "+", "-" or "*"
     left: object
     right: object
+
+    # == and hash walk the left spine in a loop, as _binop_chain does, so a
+    # long sum does not recurse once per term
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BinOp):
+            return NotImplemented
+        first, steps = _binop_chain(self)
+        other_first, other_steps = _binop_chain(other)
+        return steps == other_steps and first == other_first
+
+    def __hash__(self) -> int:
+        first, steps = _binop_chain(self)
+        out = hash(first)
+        for op, right in steps:
+            out = hash((op, out, right))
+        return out
 
 
 @dataclass(frozen=True)
@@ -209,6 +225,21 @@ class Identity:
     source: str = field(compare=False, default="")
 
 
+def _binop_chain(node: BinOp) -> tuple:
+    """(leftmost operand, [(op, right operand), ...] in the order they apply).
+
+    The parser builds a + b - c as ((a + b) - c), a tree as tall as the sum
+    is long; walking its left spine in a loop keeps a long sum or product
+    from recursing once per term.
+    """
+    steps = []
+    while isinstance(node, BinOp):
+        steps.append((node.op, node.right))
+        node = node.left
+    steps.reverse()
+    return node, steps
+
+
 # operator -> (precedence, function); ^ binds tighter than all three
 _BINOPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
 
@@ -223,14 +254,23 @@ def _precedence(node) -> int:
 
 def render_expr(node) -> str:
     if isinstance(node, BinOp):
-        prec = _precedence(node)
-        left = render_expr(node.left)
-        right = render_expr(node.right)
-        if _precedence(node.left) < prec:
-            left = f"({left})"
-        if _precedence(node.right) <= prec:
-            right = f"({right})"
-        return f"{left}*{right}" if node.op == "*" else f"{left} {node.op} {right}"
+        # every parenthesis a chain needs on its left encloses the whole
+        # rendered prefix, so count them and prepend them once
+        first, steps = _binop_chain(node)
+        parts = [render_expr(first)]
+        opens = 0
+        left_prec = _precedence(first)
+        for op, right in steps:
+            prec = _BINOPS[op][0]
+            if left_prec < prec:
+                opens += 1
+                parts.append(")")
+            text = render_expr(right)
+            if _precedence(right) <= prec:
+                text = f"({text})"
+            parts.append(f"*{text}" if op == "*" else f" {op} {text}")
+            left_prec = prec
+        return "(" * opens + "".join(parts)
     if isinstance(node, PowExpr):
         base = render_expr(node.base)
         if not _is_tight_atom(node.base):
@@ -521,21 +561,6 @@ def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
         bindings = ", ".join(f"{k}={v}" for k, v in env.items())
         raise DslEvalError(f"negative {what} {idx.render()} = {value} at {bindings}")
     return value
-
-
-def _binop_chain(node: BinOp) -> tuple:
-    """(leftmost operand, [(op, right operand), ...] in the order they apply).
-
-    The parser builds a + b - c as ((a + b) - c), a tree as tall as the sum
-    is long; walking its left spine in a loop keeps a long sum or product
-    from recursing once per term.
-    """
-    steps = []
-    while isinstance(node, BinOp):
-        steps.append((node.op, node.right))
-        node = node.left
-    steps.reverse()
-    return node, steps
 
 
 def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:

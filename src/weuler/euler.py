@@ -206,6 +206,30 @@ class EulerTable:
 # Convolution identity
 
 
+class _SharedNumbers(tuple):
+    """Order-1 numbers that keep the partition products built from them.
+
+    verify_paper_suite passes one to every order_k_multinomial call of a
+    run, so a product made for one (n, k) serves as a prefix at k + 1.
+    """
+
+    def __new__(cls, numbers):
+        out = super().__new__(cls, numbers)
+        out.products = {}
+        return out
+
+
+def _partition_product(parts: tuple, numbers, products: dict):
+    """prod numbers[i] over parts: the product of parts[:-1], times one factor."""
+    out = products.get(parts)
+    if out is None:
+        out = numbers[parts[-1]]
+        if len(parts) > 1:
+            out = _partition_product(parts[:-1], numbers, products) * out
+        products[parts] = out
+    return out
+
+
 def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
@@ -213,7 +237,8 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     the sum over compositions of n into `order` parts, taken over partitions
     (parts in nondecreasing order): a term does not change when its parts are
     reordered, so each partition's term counts once per distinct ordering,
-    multinomial(order; multiplicities).
+    multinomial(order; multiplicities).  Each partition's product is its
+    (order - 1)-part prefix's product times its last part's number.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -222,14 +247,13 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
         order_k = order_k_numbers(n + 1, order, w)
     if numbers is None:
         numbers = weighted_euler_numbers(n + 1, w)
+    products = numbers.products if isinstance(numbers, _SharedNumbers) else {}
     lhs = order_k[n]
     rhs = field.zero
     for parts in itertools.combinations_with_replacement(range(n + 1), order):
         if sum(parts) != n:
             continue
-        term = field.one
-        for i in parts:
-            term = term * numbers[i]
+        term = _partition_product(parts, numbers, products)
         orderings = multinomial(order, Counter(parts).values())
         rhs = rhs + (orderings * multinomial(n, parts)) * term
     return lhs, rhs
@@ -356,10 +380,12 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
                 yield n, k, tables[k].polys[n] - apply_functional(gf_powers[k], x_pow(n))
 
     def multinomial():
-        # (i) multinomial convolution of the stored numbers
+        # (i) multinomial convolution of the stored numbers, its partition
+        # products shared across n and k
+        numbers = _SharedNumbers(t1.numbers)
         for k in orders:
             for n in range(max_n):
-                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=t1.numbers, order_k=tables[k].numbers)
+                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=numbers, order_k=tables[k].numbers)
                 yield n, k, lhs - rhs
 
     def basis_expansion():

@@ -584,6 +584,9 @@ class WRational:
             other = WRational.promote(other)
         except TypeError:
             return NotImplemented
+        if self.den.coeffs == other.den.coeffs:
+            # no cross products over a shared denominator; __init__ still reduces
+            return WRational(self.num + other.num, self.den)
         return WRational(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -598,6 +601,8 @@ class WRational:
             other = WRational.promote(other)
         except TypeError:
             return NotImplemented
+        if self.den.coeffs == other.den.coeffs:
+            return WRational(self.num - other.num, self.den)
         return WRational(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other) -> "WRational":

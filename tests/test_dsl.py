@@ -63,6 +63,25 @@ class TestParser:
         ast = parse_identity(REFLECTION)
         assert parse_identity(render_identity(ast)) == ast
 
+    @pytest.mark.parametrize("src", [
+        LONG_SUM,
+        "forall n in 0..2 : (" + " - ".join(["x"] * 3000) + ")*w = x",
+        "forall n in 0..2 : " + "*".join(["E(n)"] * 3000) + " = w",
+    ], ids=["sum", "parenthesized-difference", "product"])
+    def test_long_chain_round_trip(self, src):
+        # rendering, == and hash walk a 3000-term chain without recursing
+        ast = parse_identity(src)
+        assert render_identity(ast) == src
+        again = parse_identity(render_identity(ast))
+        assert again is not ast
+        assert again == ast and hash(again) == hash(ast)
+
+    def test_long_sums_that_differ_are_unequal(self):
+        shorter = LONG_SUM.replace("E(n) + ", "", 1)
+        assert parse_identity(LONG_SUM) != parse_identity(WRONG_LONG_SUM)
+        assert parse_identity(LONG_SUM).lhs != parse_identity(shorter).lhs
+        assert parse_identity(LONG_SUM).lhs != parse_identity(LONG_SUM.replace("+", "-", 1)).lhs
+
     def test_precedence(self):
         # ^ binds tighter than *, which binds tighter than +
         a = parse_identity("forall n in 0..2 : 2*x^n + x = 2*(x^n) + x")

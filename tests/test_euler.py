@@ -18,7 +18,7 @@ from weuler.euler import (
     weighted_euler_numbers,
     weighted_euler_polys,
 )
-from weuler.ratfunc import QQ, QW, W, binomial
+from weuler.ratfunc import QQ, QW, W, WRational, binomial
 from weuler.series import exp_series
 from weuler.umbral import XPolynomial, apply_functional, pairing
 
@@ -147,6 +147,33 @@ class TestOrderK:
     def test_multinomial_numeric_weight(self):
         lhs, rhs = order_k_multinomial(3, 5, w=Fraction(4))
         assert lhs == rhs
+
+    def test_shared_numbers_build_each_product_from_its_prefix(self, monkeypatch):
+        # in verify_paper_suite's order, k then n, every partition's product
+        # is one multiplication of its prefix's, made in an earlier call
+        numbers = weighted_euler_numbers(9)
+        order_k = {k: order_k_numbers(9, k) for k in (1, 2, 3, 4)}
+        fresh = {(k, n): order_k_multinomial(k, n, numbers=numbers, order_k=order_k[k])
+                 for k in order_k for n in range(9)}
+        shared = euler._SharedNumbers(numbers)
+        real_mul = WRational.__mul__
+        products = 0
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(WRational, "__mul__", counting_mul)
+        for k in order_k:
+            for n in range(9):
+                products = 0
+                lhs, rhs = order_k_multinomial(k, n, numbers=shared, order_k=order_k[k])
+                partitions = sum(1 for parts in itertools.combinations_with_replacement(range(n + 1), k)
+                                 if sum(parts) == n)
+                assert products == (partitions if k > 1 else 0), (k, n)
+                want = fresh[k, n]
+                assert (lhs, rhs) == want and hash(rhs) == hash(want[1]), (k, n)
 
     @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)], ids=["Qw", "w=4", "w=-3/2"])
     def test_partition_sum_equals_composition_sum(self, w):

@@ -1,5 +1,6 @@
 """Unit tests for exact rational-function arithmetic over Q(w)."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,58 @@ class TestOnePlusWPowerPath:
         got = WRational(num, den)
         assert got.den.degree == left
         assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+class TestSharedDenominatorSum:
+    """Over a shared denominator, + and - add numerators; the result is the cross-multiplied one."""
+
+    DENS = [one_plus_w_pow(m) for m in range(7)] + [
+        wpoly(frac(4), frac(-4), frac(1)),          # (w - 2)^2
+        wpoly(frac(1), frac(1), frac(1)),           # w^2 + w + 1
+        wpoly(frac(-3), frac(-2), frac(1)),         # (w + 1)(w - 3)
+    ]
+
+    @staticmethod
+    def reference(p, q, d, op) -> WRational:
+        return WRational(op(p * d, q * d), d * d)
+
+    @given(polys(max_degree=5), polys(max_degree=5), st.sampled_from(DENS),
+           st.sampled_from([operator.add, operator.sub]))
+    @example(wpoly(frac(2), frac(1)), wpoly(frac(2), frac(1)), one_plus_w_pow(3), operator.sub)
+    @example(wpoly(frac(1, 2)), wpoly(frac(-1, 2)), wpoly(frac(4), frac(-4), frac(1)), operator.add)
+    @example(wpoly(frac(1)), wpoly(frac(0), frac(1)), one_plus_w_pow(3), operator.add)
+    @example(wpoly(frac(3), frac(1)), wpoly(frac(1), frac(0), frac(1)), one_plus_w_pow(5), operator.sub)
+    @example(wpoly(frac(-2)), wpoly(frac(-1), frac(1)), wpoly(frac(-3), frac(-2), frac(1)), operator.add)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_cross_multiplied_form(self, p, q, d, op):
+        got, want = op(WRational(p, d), WRational(q, d)), self.reference(p, q, d, op)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("p, q, d, op, want", [
+        # 1/(1+w)^3 + w/(1+w)^3 gains a (1 + w) factor
+        (wpoly(frac(1)), wpoly(frac(0), frac(1)), one_plus_w_pow(3), operator.add, "1/(1 + w)^2"),
+        # (3 + w) - (w^2 + 1) = -(w + 1)(w - 2) over (1 + w)^5
+        (wpoly(frac(3), frac(1)), wpoly(frac(1), frac(0), frac(1)), one_plus_w_pow(5), operator.sub,
+         "-(w - 2)/(1 + w)^4"),
+        # cancellation to 0, on both reduction paths
+        (wpoly(frac(2), frac(1)), wpoly(frac(2), frac(1)), one_plus_w_pow(3), operator.sub, "0"),
+        (wpoly(frac(1, 2)), wpoly(frac(-1, 2)), wpoly(frac(4), frac(-4), frac(1)), operator.add, "0"),
+        # polynomials: denominator 1
+        (wpoly(frac(1), frac(1)), wpoly(frac(0), frac(2)), wpoly(frac(1)), operator.add, "3*w + 1"),
+        # the gcd path: -2 + (w - 1) = w - 3 cancels against (w + 1)(w - 3)
+        (wpoly(frac(-2)), wpoly(frac(-1), frac(1)), wpoly(frac(-3), frac(-2), frac(1)), operator.add,
+         "1/(1 + w)"),
+    ])
+    def test_multiplies_no_polynomials(self, monkeypatch, p, q, d, op, want):
+        a, b = WRational(p, d), WRational(q, d)
+        assert a.den.coeffs == b.den.coeffs
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a shared-denominator sum multiplied polynomials")
+
+        monkeypatch.setattr(WPolynomial, "__mul__", forbidden)
+        assert str(op(a, b)) == want
 
 
 class TestRendering:

@@ -1,14 +1,21 @@
 """Command-line interface: tables, verification suite, corpus checks, p-adic runs.
 
+Each subcommand's runner checks its arguments, computes, and returns its exit
+code with three lazy renderers: the JSON payload without its "command" key,
+the LaTeX rows without their row terminator, and the text.  `main` resolves
+the format, renders only the one asked for, and writes it once.
+
 Exit codes: 0 success or all-pass, 1 identity violation, 2 usage or parse
-error, 3 runtime error (an evaluation error, or any failure after the
-arguments were accepted).  Output is deterministic; the default
-format comes from WEULER_FORMAT (text unless overridden).
+error (also an --out path that cannot be written, rejected before any work),
+3 runtime error (an evaluation error, a .uid range that --max-n leaves empty,
+or any failure after the arguments were accepted).  Output is deterministic;
+the default format comes from WEULER_FORMAT (text unless overridden).
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -29,10 +36,6 @@ EXIT_RUNTIME = 3
 
 class UsageError(Exception):
     """An argument was rejected before any computation started (exit 2)."""
-
-
-def _default_format() -> str:
-    return os.environ.get("WEULER_FORMAT", "text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,19 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"weuler: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _emit(text: str, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
-
-
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
@@ -108,14 +98,27 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _resolve_format(args) -> str:
-    fmt = args.format if args.format else _default_format()
+    fmt = args.format if args.format else os.environ.get("WEULER_FORMAT", "text")
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r} (choose from {', '.join(FORMATS)})")
     return fmt
 
 
-def _run_table(args, command: str) -> int:
-    fmt = _resolve_format(args)
+def _check_writable(path: str) -> None:
+    """Reject an --out path that open() would refuse, before any work is done."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        errnum = errno.EISDIR
+    elif not os.path.isdir(parent):
+        errnum = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        errnum = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(errnum)}")
+
+
+def _run_table(args):
     if args.max_n < 1:
         raise UsageError("--max-n must be at least 1")
     if args.order < 1:
@@ -125,52 +128,42 @@ def _run_table(args, command: str) -> int:
         raise UsageError("w = -1 is a pole of the generating function")
     table = EulerTable.build(args.max_n, args.order, w=w)
     field = table.field
-    if command == "numbers":
+    if args.subcommand == "numbers":
         values, render, to_json, latex = table.numbers, field.render, field.render, field.latex
     else:
         values, render, to_json, latex = table.polys, str, Polynomial.to_json, Polynomial.latex
-    if fmt == "json":
-        payload = {
-            "command": command,
+    return (
+        EXIT_OK,
+        lambda: {
             "maxN": args.max_n,
             "order": table.order,
             "w": None if table.w0 is None else str(table.w0),
             "values": [to_json(v) for v in values],
-        }
-        text = json.dumps(payload, indent=2)
-    elif fmt == "latex":
-        text = "\n".join(f"{n} & ${latex(v)}$ \\\\" for n, v in enumerate(values))
-    else:
-        text = "\n".join(f"{n}: {render(v)}" for n, v in enumerate(values))
-    _emit(text, args.out)
-    return EXIT_OK
+        },
+        lambda: (f"{n} & ${latex(v)}$" for n, v in enumerate(values)),
+        lambda: "\n".join(f"{n}: {render(v)}" for n, v in enumerate(values)),
+    )
 
 
-def _run_verify(args) -> int:
-    fmt = _resolve_format(args)
+def _run_verify(args):
     if args.max_n < 2 or args.max_k < 1:
         raise UsageError("need --max-n >= 2 and --max-k >= 1")
     report = verify_paper_suite(args.max_n, args.max_k)
-    if fmt == "json":
-        payload = {
-            "command": "verify",
+    return (
+        EXIT_OK if report.passed else EXIT_VIOLATION,
+        lambda: {
             "suite": "paper",
             "maxN": args.max_n,
             "maxK": args.max_k,
             "allPass": report.passed,
             "checks": report.to_json(),
-        }
-        text = json.dumps(payload, indent=2)
-    elif fmt == "latex":
-        text = "\n".join(f"{r.check} & {r.status.upper()} \\\\" for r in report.results)
-    else:
-        text = report.render_text()
-    _emit(text, args.out)
-    return EXIT_OK if report.passed else EXIT_VIOLATION
+        },
+        lambda: (f"{r.check} & {r.status.upper()}" for r in report.results),
+        report.render_text,
+    )
 
 
-def _run_check(args) -> int:
-    fmt = _resolve_format(args)
+def _run_check(args):
     if args.max_n < 0:
         raise UsageError("--max-n must be nonnegative")
     try:
@@ -178,33 +171,25 @@ def _run_check(args) -> int:
             corpus = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc.strerror}")
-    ctx = TableContext()
-    verdicts = check_corpus(corpus, ctx, max_n=args.max_n)
-    if fmt == "json":
-        payload = {
-            "command": "check",
+    verdicts = check_corpus(corpus, TableContext(), max_n=args.max_n)
+    statuses = {v.status for v in verdicts}
+    code = (EXIT_USAGE if any(v.location is not None for v in verdicts)   # a parse error
+            else EXIT_RUNTIME if "error" in statuses
+            else EXIT_VIOLATION if "fail" in statuses else EXIT_OK)
+    return (
+        code,
+        lambda: {
             "file": args.file,
             "maxN": args.max_n,
             "allPass": all(v.status == "pass" for v in verdicts),
             "verdicts": [v.to_json() for v in verdicts],
-        }
-        text = json.dumps(payload, indent=2)
-    elif fmt == "latex":
-        text = "\n".join(f"{i} & {v.status.upper()} \\\\" for i, v in enumerate(verdicts))
-    else:
-        text = "\n".join(v.render_text() for v in verdicts)
-    _emit(text, args.out)
-    if any(v.status == "error" and v.location is not None for v in verdicts):
-        return EXIT_USAGE
-    if any(v.status == "error" for v in verdicts):
-        return EXIT_RUNTIME
-    if any(v.status == "fail" for v in verdicts):
-        return EXIT_VIOLATION
-    return EXIT_OK
+        },
+        lambda: (f"{i} & {v.status.upper()}" for i, v in enumerate(verdicts)),
+        lambda: "\n".join(v.render_text() for v in verdicts),
+    )
 
 
-def _run_padic(args) -> int:
-    fmt = _resolve_format(args)
+def _run_padic(args):
     if not is_odd_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     w = _parse_rational(args.w, "--w")
@@ -215,9 +200,9 @@ def _run_padic(args) -> int:
         raise UsageError("--levels and --prec must be at least 1")
     convergence = convergence_report(coeffs, w, args.p, args.levels, args.prec)
     shift = shift_identity_check(coeffs, w, args.p, args.levels, args.prec)
-    if fmt == "json":
-        payload = {
-            "command": "padic",
+    return (
+        EXIT_OK if shift.symbolic_ok else EXIT_VIOLATION,
+        lambda: {
             "p": args.p,
             "w": str(w),
             "poly": [str(c) for c in coeffs],
@@ -225,19 +210,21 @@ def _run_padic(args) -> int:
             "precision": args.prec,
             "convergence": convergence.to_json(),
             "shift": shift.to_json(),
-        }
-        text = json.dumps(payload, indent=2)
-    elif fmt == "latex":
-        rows = []
-        for r in convergence.rows:
-            # an exactly-zero deviation shows its guard as a lower bound, as in text
-            v = f"$\\geq {r.deviation_valuation}$" if r.exact_zero else r.deviation_valuation
-            rows.append(f"{r.level} & {v} \\\\")
-        text = "\n".join(rows)
-    else:
-        text = convergence.render_text() + "\n\nshift identity:\n" + shift.render_text()
-    _emit(text, args.out)
-    return EXIT_OK if shift.symbolic_ok else EXIT_VIOLATION
+        },
+        # an exactly-zero deviation shows its guard as a lower bound, as in text
+        lambda: (f"{r.level} & $\\geq {r.deviation_valuation}$" if r.exact_zero
+                 else f"{r.level} & {r.deviation_valuation}" for r in convergence.rows),
+        lambda: convergence.render_text() + "\n\nshift identity:\n" + shift.render_text(),
+    )
+
+
+_RUNNERS = {
+    "numbers": _run_table,
+    "polys": _run_table,
+    "verify": _run_verify,
+    "check": _run_check,
+    "padic": _run_padic,
+}
 
 
 def main(argv=None) -> int:
@@ -247,20 +234,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.subcommand in ("numbers", "polys"):
-            return _run_table(args, args.subcommand)
-        if args.subcommand == "verify":
-            return _run_verify(args)
-        if args.subcommand == "check":
-            return _run_check(args)
-        if args.subcommand == "padic":
-            return _run_padic(args)
+        fmt = _resolve_format(args)
+        if args.out:
+            _check_writable(args.out)
+        code, payload, latex_rows, text = _RUNNERS[args.subcommand](args)
+        if fmt == "json":
+            output = json.dumps({"command": args.subcommand, **payload()}, indent=2)
+        elif fmt == "latex":
+            output = "\n".join(f"{row} \\\\" for row in latex_rows())
+        else:
+            output = text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output + "\n")
+        else:
+            print(output)
+        return code
     except UsageError as exc:
-        return _usage_error(str(exc))
+        print(f"weuler: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:   # the arguments were accepted; the computation failed
         print(f"weuler: runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return _usage_error(f"unknown subcommand {args.subcommand!r}")
 
 
 if __name__ == "__main__":

@@ -671,6 +671,9 @@ def _reach(ast: Identity, max_n: Optional[int]) -> int:
 def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
     hi = _checked_top(ast, max_n)
+    if hi < ast.lo:                # a PASS would claim an identity no index was checked for
+        return Verdict("error", ast.source,
+                       message=f"range {ast.lo}..{ast.hi} capped at max_n={max_n} checks no index")
     try:
         ctx.max_index = max(ctx.max_index, _reach(ast, max_n))
     except RecursionError:

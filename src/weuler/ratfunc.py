@@ -296,19 +296,21 @@ def join_signed(terms) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def poly_text(coeffs) -> str:
-    """Render a polynomial in w descending, e.g. ``w^2 - 4*w + 1``."""
+def poly_text(coeffs, latex: bool = False) -> str:
+    """Render a polynomial in w descending: ``w^2 - 4*w + 1/2``, or as LaTeX
+    ``w^{2} - 4 w + \\frac{1}{2}``."""
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
         if c == 0:
             continue
         mag = abs(c)
+        mag_text = QQ.latex(mag) if latex else str(mag)
         if k == 0:
-            body = str(mag)
+            body = mag_text
         else:
-            v = "w" if k == 1 else f"w^{k}"
-            body = v if mag == 1 else f"{mag}*{v}"
+            v = "w" if k == 1 else (f"w^{{{k}}}" if latex else f"w^{k}")
+            body = v if mag == 1 else f"{mag_text}{' ' if latex else '*'}{v}"
         terms.append((c < 0, body))
     return join_signed(terms)
 
@@ -664,30 +666,13 @@ class WRational:
         return f"WRational({str(self)!r})"
 
     def latex(self) -> str:
-        num = latex_poly(self.num.coeffs)
+        num = poly_text(self.num.coeffs, latex=True)
         if self.den.is_one():
             return num
         m = _as_one_plus_w_power(self.den)
-        den = f"(1 + w)^{{{m}}}" if m and m > 1 else ("(1 + w)" if m else latex_poly(self.den.coeffs))
+        den = (f"(1 + w)^{{{m}}}" if m and m > 1
+               else "(1 + w)" if m else poly_text(self.den.coeffs, latex=True))
         return f"\\frac{{{num}}}{{{den}}}"
-
-
-def latex_poly(coeffs) -> str:
-    """LaTeX for a polynomial in w, descending."""
-    terms = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        mag_tex = str(mag.numerator) if mag.denominator == 1 else f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if k == 0:
-            body = mag_tex
-        else:
-            v = "w" if k == 1 else f"w^{{{k}}}"
-            body = v if mag == 1 else f"{mag_tex} {v}"
-        terms.append((c < 0, body))
-    return join_signed(terms)
 
 
 def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:

@@ -1,6 +1,9 @@
 """End-to-end tests for the weuler command line interface."""
 
+import contextlib
+import hashlib
 import importlib.resources
+import io
 import json
 import os
 import subprocess
@@ -9,10 +12,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weuler
-from weuler.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, main
+from weuler.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, FORMATS, main
 from weuler.euler import EulerTable
+from weuler.ratfunc import Polynomial
 
 SCHEMA = json.loads(
     importlib.resources.files("weuler").joinpath("schemas/cli.schema.json").read_text()
@@ -20,6 +26,30 @@ SCHEMA = json.loads(
 CORPUS = str(importlib.resources.files("weuler").joinpath("corpus/paper.uid"))
 
 PINNED_ROWS = "0: 2/(1 + w)\n1: -2*w/(1 + w)^2\n2: 2*w*(w - 1)/(1 + w)^3\n"
+
+
+# .uid files the golden and fuzz tests run against, written into one
+# directory; the golden commands run from inside it, so the file names that
+# JSON output echoes are the same wherever the tests run
+UID_FILES = {
+    "paper.uid": Path(CORPUS).read_text(),
+    "mixed.uid": "forall n in 0..3 : E(n, x) = sum(i = 0..n, binom(n, i)*E(n - i)*x^i)\n"
+                 "forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1\n"
+                 "forall n in 0..4 : w*E(n, x + 1) +\n"
+                 "forall n in 0..3 : E(n - 5) = x\n",
+    "fail.uid": "forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1\n",
+    "faulty.uid": "forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1\n"
+                  "forall n in 0..3 : E(n - 5) = x\n",
+    "empty.uid": "forall n in 5..8 : E(n) = 0\n",
+}
+
+
+@pytest.fixture(scope="module")
+def uid_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("uid")
+    for name, text in UID_FILES.items():
+        (path / name).write_text(text)
+    return path
 
 
 def run(capsys, argv, expect=EXIT_OK):
@@ -140,6 +170,18 @@ class TestCheck:
 
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
+
+    def test_range_the_cap_leaves_empty_is_a_runtime_error(self, capsys, uid_dir):
+        # E(n) = 0 is false; with every index of 5..8 past the cap nothing
+        # was checked, so the line is an error, not a PASS
+        argv = ["check", str(uid_dir / "empty.uid"), "--max-n", "3"]
+        payload = run_json(capsys, argv, expect=EXIT_RUNTIME)
+        assert payload["allPass"] is False
+        assert payload["verdicts"] == [{
+            "source": "forall n in 5..8 : E(n) = 0",
+            "status": "error",
+            "message": "range 5..8 capped at max_n=3 checks no index",
+        }]
 
     def test_one_table_build_per_order(self, capsys, monkeypatch):
         # the corpus uses orders 1, 2 and 3 up to index 8 and asks for index
@@ -271,6 +313,28 @@ class TestPlumbing:
         direct = run(capsys, ["numbers", "--max-n", "4", "--format", "json"])
         assert target.read_text() == direct
 
+    @pytest.mark.parametrize("target, reason", [("missing/x.txt", "No such file or directory"),
+                                                ("subdir", "Is a directory")])
+    def test_unwritable_out_rejected_before_any_work(self, capsys, monkeypatch, tmp_path,
+                                                     target, reason):
+        (tmp_path / "subdir").mkdir()
+        monkeypatch.chdir(tmp_path)
+
+        def build(*args, **kwargs):
+            raise AssertionError("the table was built")
+
+        monkeypatch.setattr(EulerTable, "build", build)
+        assert main(["numbers", "--max-n", "5", "--out", target]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"weuler: error: cannot write {target}: {reason}\n"
+
+    def test_out_without_write_permission_rejected(self, capsys, monkeypatch, tmp_path):
+        target = str(tmp_path / "rows.txt")
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert main(["numbers", "--max-n", "3", "--out", target]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"weuler: error: cannot write {target}: Permission denied\n"
+
     def test_determinism_across_processes(self):
         argv = [sys.executable, "-m", "weuler.cli",
                 "verify", "--suite", "paper", "--max-n", "4", "--max-k", "1",
@@ -296,3 +360,128 @@ class TestPlumbing:
         env = dict(os.environ, PYTHONPATH=str(Path(weuler.__file__).resolve().parents[1]))
         r = subprocess.run([script, "numbers", "--max-n", "3"], capture_output=True, text=True, env=env)
         assert r.returncode == 0 and r.stdout == PINNED_ROWS, r.stderr
+
+
+class TestOneOutputPath:
+    # stdout SHA-256 of small commands in text, json and latex, with their
+    # exit code; run from a directory holding UID_FILES
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    GOLDEN = {
+        "numbers --max-n 4": (0,
+            "132c540aa8398799725be030ff984ac618c8a4804eb358992ba5fba440d1fe82",
+            "7fc49fb2df8cdece1aea6b5425331a6e12abec4fe41c077825792650bcec223e",
+            "269551ec32fc1e6295c6366ecdcb5817827c7f5234d757b7b6eead79c8e9dc36"),
+        "numbers --max-n 4 --w 4": (0,
+            "a3edb5b34afe8d81321d9f0be805faf041de011b32bc5c5084b33d66eeada132",
+            "c286404aa0769ace0ee409b6e06619bbfa97eac9f82ea9e7b9031ab6a2c4d0ef",
+            "91e77ebb2fd7ccfaea9a033865a89f174b5f8292f1baf15e34d4cf1c55fe8239"),
+        "numbers --max-n 4 --w=-3/2 --order 2": (0,
+            "3671e282dfb53c05e8efa6d27b500daab7a40a155968d57f25cea37e5a2700d3",
+            "000b275a7fab92ad85d075f7d04c3824d9d08fe389ef79006d586b4cb7a0b2aa",
+            "7fa0ef00c14c6ebfb303aa13242f56dc75c4919ed471bf4b5fab856e7ad6b249"),
+        "polys --max-n 3": (0,
+            "fc7948e81062aa8e1b0a8bc9fa91e2a3a4ca9c534b771cfb111252fea4c64a09",
+            "44c6df2fc1e0fa5a7906f8981b3319a5c6a31a394ae46d91a47095f36d9ffa5f",
+            "9136f87d4b4414a891b59de183dce5747834af448e3d08f4ac8c3295771d5270"),
+        "polys --max-n 3 --w 4": (0,
+            "b61f1f868c07e08d84298af61c60b0c2ccdf5b649a413066952fa197bfe8551d",
+            "ba946a3cec0a64aa6a2e1bf380ddd4e924a06a3c072be3d92d98a8f4980c464b",
+            "609867c93d1338ea34265d4430b04ff523c7b73cd6e6972aa2916fc38ea7a643"),
+        "polys --max-n 3 --w=-3/2 --order 2": (0,
+            "03758d0b59c60ab0f6f941b08856802a81f245f8ef369c539bfb339749b61d7a",
+            "076432f59ba5aea25c8a4ed53155d6882142c689b512f7f7196371b6c8b582db",
+            "6f726b96a1312a6f0420903c9580f2ae83a5901df4ea8c33c879f359ee77af65"),
+        "verify --suite paper --max-n 6 --max-k 2": (0,
+            "f5c5cf1ca27abd4cef348d88332ef20941c8648b3ecf2e95a033f0aff6d664e8",
+            "2effebc42cf97cd9c464f0b89e81c91b24c53e5cde342bc4236465766992976d",
+            "4afdfc6cb410151b49cd90e6f535c31725d19d605000f6f2204609adac529ea7"),
+        "check paper.uid --max-n 4": (0,
+            "7360f97c9449f7663a2f2e74efe4ce4dd744c4d311133b3b1381959e263f0327",
+            "7ac2d28bd75b25997e7dcf79a6b93e7c5027d59a3b0cd54b5dce8457f459cf2d",
+            "eca62e107620f679776c718239f767a41b54f8877c207e757c8d7b6ab60b7fe0"),
+        # pass, fail, parse error and evaluation error lines: the parse error sets the exit
+        "check mixed.uid --max-n 4": (2,
+            "37d01051a77a9b48ed595f9361195e9dfeb93b728e471835fc7f098b97b9b1b2",
+            "13ea4edb09408b367532556e7cc42deec19dc49594ca57fb43832af992fc290e",
+            "b81f6dd4896aeb9af93e073da00da75d195be8b3665fd66f1138125c01d8c943"),
+        "check faulty.uid --max-n 4": (3,
+            "26c877cc5a08897a22aebd43abedb5ecd432a1e5d7f668bfb525fabcbb84f306",
+            "e80be17b58c19c05bbdc14cbb4eba063ac579f15c3f94e93b22342c9650ba31d",
+            "09559c81aa0b00ef4d139860b1ba93a7a71c7e401c4508f7398ba3f54deec4b2"),
+        "check empty.uid --max-n 3": (3,
+            "f84cf76595b950664c39754fb6d57748683aa175803ce4621a4f020d075ebee6",
+            "da8c1e7f131c50c8e08c638a793d3dec0a60d537567c35167a82cb66906f0f40",
+            "9f7be8ff1da47ce5a8874b9eaf479e348d4cc1d9bfe58bbd8bc009ed069c82df"),
+        "padic --p 3 --w 4 --poly 1 --levels 4 --prec 12": (0,
+            "42a5c2d57535348f08895e2ae85fdee5a537983a49a4fe3d44a3ce111f0c2ef1",
+            "4b41197593e4d06b7113538f77f839bc908f13f279ae70c344618134ea5e7bd2",
+            "d7802420d78626f84cd4d379082306254492c915a98d539176f210ac38279164"),
+        # every partial sum equals the limit: exact zeros
+        "padic --p 3 --w 1 --poly 1 --levels 3 --prec 12": (0,
+            "224bfe462cffee4c51b0a7566d012790ac5e6064c5911a1c4b52a4f3f0a691fe",
+            "641bf43bb1e589e7ffe73f89062184cd7a54e23c6a8dbe33a6274b46dd0f6cb2",
+            "b201ce019c3a07729a87f2a03923b8397ac2b10ab15a3d58c8f8fbb3c4a738ef"),
+        "numbers --max-n 0": (2, EMPTY, EMPTY, EMPTY),
+        "polys --max-n 3 --w=-1": (2, EMPTY, EMPTY, EMPTY),
+        "padic --p 4 --w 1 --poly 1 --levels 2 --prec 8": (2, EMPTY, EMPTY, EMPTY),
+        "padic --p 3 --w 4 --poly 1,x --levels 2 --prec 8": (2, EMPTY, EMPTY, EMPTY),
+        "check missing.uid --max-n 3": (2, EMPTY, EMPTY, EMPTY),
+        "numbers --max-n 5 --out missing/x.txt": (2, EMPTY, EMPTY, EMPTY),
+    }
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("command", list(GOLDEN))
+    def test_golden_output(self, capsys, monkeypatch, uid_dir, command, fmt):
+        monkeypatch.chdir(uid_dir)
+        code = main(command.split() + ["--format", fmt])
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        expect_code, *digests = self.GOLDEN[command]
+        assert (code, digest) == (expect_code, digests[FORMATS.index(fmt)])
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_only_the_format_asked_for_is_rendered(self, capsys, monkeypatch, fmt):
+        def refuse(self):
+            raise AssertionError("rendered a format nobody asked for")
+
+        for other, renderer in zip(FORMATS, ("__str__", "to_json", "latex")):
+            if other != fmt:
+                monkeypatch.setattr(Polynomial, renderer, refuse)
+        run(capsys, ["polys", "--max-n", "4", "--order", "2", "--format", fmt])
+
+
+# small sizes; valid values outnumber the invalid ones (p = 4, w = -1, a
+# weight that is not admissible, --max-n -1, a bad --poly, an unwritable --out)
+SIZE = st.sampled_from(["2", "3", "4", "5", "1", "0", "-1"])
+WEIGHT = st.sampled_from(["4", "-3/2", "0", "1", "6", "-2", "7/4", "2", "-1", "1/0", "x"])
+PADIC_WEIGHT = st.sampled_from(["4", "1", "-2", "7/4", "6", "2", "x"])
+ARGV = st.one_of(
+    st.tuples(st.sampled_from(["numbers", "polys"]), st.just("--max-n"), SIZE,
+              st.just("--order"), st.sampled_from(["1", "2", "3", "0"]),
+              st.one_of(st.none(), WEIGHT.map("--w={}".format))),
+    st.tuples(st.just("verify"), st.just("--suite"), st.sampled_from(["paper", "paper", "other"]),
+              st.just("--max-n"), SIZE, st.just("--max-k"), st.sampled_from(["1", "2", "0"])),
+    st.tuples(st.just("check"), st.sampled_from(sorted(UID_FILES) + ["missing.uid"]),
+              st.just("--max-n"), SIZE),
+    st.tuples(st.just("padic"), st.just("--p"), st.sampled_from(["3", "3", "5", "4", "-3"]),
+              PADIC_WEIGHT.map("--w={}".format),
+              st.just("--poly"), st.sampled_from(["1", "0,1/2,3", "-2,0,1", "1,x", ""]),
+              st.just("--levels"), st.sampled_from(["1", "2", "3", "0"]),
+              st.just("--prec"), st.sampled_from(["8", "1", "0"])),
+)
+OUT = st.sampled_from([None, None, None, None, "missing/x.txt", "."])
+
+
+@given(ARGV, st.sampled_from(FORMATS), OUT)
+@settings(max_examples=100, deadline=None)
+def test_any_argv_exits_with_a_documented_code_and_valid_json(uid_dir, argv, fmt, out):
+    argv = [str(uid_dir / a) if a in UID_FILES or a == "missing.uid" else a
+            for a in argv if a is not None]
+    argv += ["--format", fmt] + ([] if out is None else ["--out", str(uid_dir / out)])
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VIOLATION, EXIT_USAGE, EXIT_RUNTIME), (argv, stderr.getvalue())
+    if out is not None:
+        assert code == EXIT_USAGE and stdout.getvalue() == ""
+    if fmt == "json" and stdout.getvalue():
+        jsonschema.validate(json.loads(stdout.getvalue()), SCHEMA)

@@ -183,6 +183,21 @@ class TestEvaluation:
         v = check_identity(ast, ctx, max_n=5)
         assert v.status == "pass"
 
+    @pytest.mark.parametrize("max_n, status", [(3, "error"), (4, "error"), (5, "fail")])
+    def test_range_the_cap_leaves_empty_is_an_error(self, max_n, status):
+        # E(n) = 0 is false at every n; a cap below the range checks nothing,
+        # which must not read as a proof
+        ast = parse_identity("forall n in 5..8 : E(n) = 0")
+        empty = TableContext()
+        v = check_identity(ast, empty, max_n=max_n)
+        assert v.status == status
+        if status == "error":
+            assert v.message == f"range 5..8 capped at max_n={max_n} checks no index"
+            assert v.at is None and v.location is None
+            assert empty.tables == {}
+        else:
+            assert v.at == 5
+
     def test_tables_grow_on_demand(self):
         growing = TableContext()
         for hi, count in ((3, 4), (6, 7)):

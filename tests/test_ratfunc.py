@@ -197,6 +197,9 @@ class TestRendering:
         assert (QW.of(frac(2)) / (W + ONE)).latex() == r"\frac{2}{(1 + w)}"
         assert (QW.of(frac(-2)) * W / (W + ONE) ** 2).latex() == r"\frac{-2 w}{(1 + w)^{2}}"
         assert W.latex() == "w"
+        # fractional coefficients and a denominator that is no power of (1 + w)
+        r = (W * W * QW.of(frac(-3, 7)) + W) / (W * W + ONE)
+        assert r.latex() == r"\frac{-\frac{3}{7} w^{2} + w}{w^{2} + 1}"
 
     def test_parse_ignores_whitespace(self):
         assert str(QW.parse(" 2*w*(w - 1) / (1 + w)^3 ")) == "2*w*(w - 1)/(1 + w)^3"

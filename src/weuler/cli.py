@@ -199,7 +199,8 @@ def _run_padic(args):
     if args.levels < 1 or args.prec < 1:
         raise UsageError("--levels and --prec must be at least 1")
     convergence = convergence_report(coeffs, w, args.p, args.levels, args.prec)
-    shift = shift_identity_check(coeffs, w, args.p, args.levels, args.prec)
+    shift = shift_identity_check(coeffs, w, args.p, args.levels, args.prec,
+                                 sums=[r.partial_sum for r in convergence.rows])
     return (
         EXIT_OK if shift.symbolic_ok else EXIT_VIOLATION,
         lambda: {

@@ -2,10 +2,13 @@
 
 One identity per line: `forall n in 0..8 : expr = expr`, with nodes for
 literals, w, x, Ek(order, index[, x+shift]) and its order-1 form E(...),
-binom(i, j), sum(i = lo..hi, body), +, -, * and ^.  Index expressions are
-integer-linear in the bound variables; there is no division operator
-(rational constants are written as literals like 1/2).  Both sides evaluate
-to polynomials in x over Q(w) and are compared in canonical form.
+binom(i, j), sum(i = lo..hi, body), +, -, * and ^.  A sum or a product is
+one node, a `Chain` of its first operand and its (operator, operand) steps,
+so a sum of thousands of terms is parsed, evaluated, rendered, compared and
+hashed in a loop.  Index expressions are integer-linear in the bound
+variables; there is no division operator (rational constants are written as
+literals like 1/2).  Both sides evaluate to polynomials in x over Q(w) and
+are compared in canonical form.
 """
 
 from __future__ import annotations
@@ -68,10 +71,15 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
             continue
         if ch == "#":
             break
-        if ch.isdigit():
+        if ch.isdecimal():          # isdigit() also takes ² and ①, which int() refuses
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
+            try:
+                int(text[i:j])      # past sys.get_int_max_str_digits(), int() refuses it
+            except ValueError:
+                raise DslParseError(f"integer literal of {j - i} digits is too long",
+                                    line, col) from None
             tokens.append(Token("int", text[i:j], line, col))
             col += j - i
             i = j
@@ -186,27 +194,12 @@ class SumExpr:
         return f"sum({self.var} = {self.lo.render()}..{self.hi.render()}, {render_expr(self.body)})"
 
 
-@dataclass(frozen=True, eq=False)
-class BinOp:
-    op: str                        # "+", "-" or "*"
-    left: object
-    right: object
+@dataclass(frozen=True)
+class Chain:
+    """first op1 a1 op2 a2 ...: a sum or a product, applied left to right."""
 
-    # == and hash walk the left spine in a loop, as _binop_chain does, so a
-    # long sum does not recurse once per term
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinOp):
-            return NotImplemented
-        first, steps = _binop_chain(self)
-        other_first, other_steps = _binop_chain(other)
-        return steps == other_steps and first == other_first
-
-    def __hash__(self) -> int:
-        first, steps = _binop_chain(self)
-        out = hash(first)
-        for op, right in steps:
-            out = hash((op, out, right))
-        return out
+    first: object
+    steps: tuple                   # ((op, operand), ...), all "+"/"-" or all "*"
 
 
 @dataclass(frozen=True)
@@ -225,52 +218,39 @@ class Identity:
     source: str = field(compare=False, default="")
 
 
-def _binop_chain(node: BinOp) -> tuple:
-    """(leftmost operand, [(op, right operand), ...] in the order they apply).
-
-    The parser builds a + b - c as ((a + b) - c), a tree as tall as the sum
-    is long; walking its left spine in a loop keeps a long sum or product
-    from recursing once per term.
-    """
-    steps = []
-    while isinstance(node, BinOp):
-        steps.append((node.op, node.right))
-        node = node.left
-    steps.reverse()
-    return node, steps
-
-
 # operator -> (precedence, function); ^ binds tighter than all three
-_BINOPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
+_OPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
 
 
 def _precedence(node) -> int:
-    if isinstance(node, BinOp):
-        return _BINOPS[node.op][0]
+    if isinstance(node, Chain):
+        return _OPS[node.steps[0][0]][0]
     if isinstance(node, PowExpr):
         return 3
     return 4
 
 
+def _chain(first, steps: list):
+    """first and its steps as one node; a parenthesized chain of the same
+    precedence that opens them is joined, so (a + b) + c is a + b + c."""
+    if not steps:
+        return first
+    if _precedence(first) == _OPS[steps[0][0]][0]:
+        return Chain(first.first, first.steps + tuple(steps))
+    return Chain(first, tuple(steps))
+
+
 def render_expr(node) -> str:
-    if isinstance(node, BinOp):
-        # every parenthesis a chain needs on its left encloses the whole
-        # rendered prefix, so count them and prepend them once
-        first, steps = _binop_chain(node)
-        parts = [render_expr(first)]
-        opens = 0
-        left_prec = _precedence(first)
-        for op, right in steps:
-            prec = _BINOPS[op][0]
-            if left_prec < prec:
-                opens += 1
-                parts.append(")")
-            text = render_expr(right)
-            if _precedence(right) <= prec:
+    if isinstance(node, Chain):
+        prec = _precedence(node)
+        first = render_expr(node.first)
+        parts = [f"({first})" if _precedence(node.first) < prec else first]
+        for op, operand in node.steps:
+            text = render_expr(operand)
+            if _precedence(operand) <= prec:
                 text = f"({text})"
             parts.append(f"*{text}" if op == "*" else f" {op} {text}")
-            left_prec = prec
-        return "(" * opens + "".join(parts)
+        return "".join(parts)
     if isinstance(node, PowExpr):
         base = render_expr(node.base)
         if not _is_tight_atom(node.base):
@@ -349,18 +329,18 @@ class _Parser:
         return Identity(var, lo, hi, lhs, rhs, source)
 
     def expr(self):
-        node = self.term()
+        first, steps = self.term(), []
         while self.current.kind in ("+", "-"):
             op = self.current.kind
             self.pos += 1
-            node = BinOp(op, node, self.term())
-        return node
+            steps.append((op, self.term()))
+        return _chain(first, steps)
 
     def term(self):
-        node = self.power()
+        first, steps = self.power(), []
         while self.accept("*"):
-            node = BinOp("*", node, self.power())
-        return node
+            steps.append(("*", self.power()))
+        return _chain(first, steps)
 
     def power(self):
         base = self.atom()
@@ -588,11 +568,10 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
             inner[node.var] = v
             acc = acc + evaluate_expr(node.body, inner, ctx)
         return acc
-    if isinstance(node, BinOp):
-        first, steps = _binop_chain(node)
-        acc = evaluate_expr(first, env, ctx)
-        for op, right in steps:
-            acc = _BINOPS[op][1](acc, evaluate_expr(right, env, ctx))
+    if isinstance(node, Chain):
+        acc = evaluate_expr(node.first, env, ctx)
+        for op, operand in node.steps:
+            acc = _OPS[op][1](acc, evaluate_expr(operand, env, ctx))
         return acc
     if isinstance(node, PowExpr):
         exp = _index_value(node.exponent, env, "exponent")
@@ -648,9 +627,9 @@ def _node_reach(node, env: dict) -> int:
             inner[node.var] = v
             reach = max(reach, _node_reach(node.body, inner))
         return reach
-    if isinstance(node, BinOp):
-        first, steps = _binop_chain(node)
-        return max([_node_reach(first, env)] + [_node_reach(right, env) for _, right in steps])
+    if isinstance(node, Chain):
+        return max([_node_reach(node.first, env)]
+                   + [_node_reach(operand, env) for _, operand in node.steps])
     if isinstance(node, PowExpr):
         return _node_reach(node.base, env)
     return -1

@@ -206,19 +206,6 @@ class EulerTable:
 # Convolution identity
 
 
-class _SharedNumbers(tuple):
-    """Order-1 numbers that keep the partition products built from them.
-
-    verify_paper_suite passes one to every order_k_multinomial call of a
-    run, so a product made for one (n, k) serves as a prefix at k + 1.
-    """
-
-    def __new__(cls, numbers):
-        out = super().__new__(cls, numbers)
-        out.products = {}
-        return out
-
-
 def _partition_product(parts: tuple, numbers, products: dict):
     """prod numbers[i] over parts: the product of parts[:-1], times one factor."""
     out = products.get(parts)
@@ -230,7 +217,7 @@ def _partition_product(parts: tuple, numbers, products: dict):
     return out
 
 
-def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
+def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None, products=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
     The left side comes from the order-k generating function.  The right is
@@ -239,6 +226,10 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     reordered, so each partition's term counts once per distinct ordering,
     multinomial(order; multiplicities).  Each partition's product is its
     (order - 1)-part prefix's product times its last part's number.
+
+    products caches those products by parts; verify_paper_suite passes one
+    dict to every call of a run, so a product made for one (n, k) serves as
+    a prefix at k + 1.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -247,7 +238,8 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
         order_k = order_k_numbers(n + 1, order, w)
     if numbers is None:
         numbers = weighted_euler_numbers(n + 1, w)
-    products = numbers.products if isinstance(numbers, _SharedNumbers) else {}
+    if products is None:
+        products = {}
     lhs = order_k[n]
     rhs = field.zero
     for parts in itertools.combinations_with_replacement(range(n + 1), order):
@@ -382,10 +374,11 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     def multinomial():
         # (i) multinomial convolution of the stored numbers, its partition
         # products shared across n and k
-        numbers = _SharedNumbers(t1.numbers)
+        products = {}
         for k in orders:
             for n in range(max_n):
-                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=numbers, order_k=tables[k].numbers)
+                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=t1.numbers,
+                                               order_k=tables[k].numbers, products=products)
                 yield n, k, lhs - rhs
 
     def basis_expansion():

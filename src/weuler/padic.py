@@ -379,19 +379,21 @@ class ShiftReport(_LevelReport):
         return "\n".join(lines + self._level_lines(9))
 
 
-def shift_identity_check(f, w, p: int, levels: int, M: int) -> ShiftReport:
+def shift_identity_check(f, w, p: int, levels: int, M: int, sums=None) -> ShiftReport:
     """w I(f(.+1)) + I(f) = 2 f(0): symbolic identity plus partial-sum decay.
 
     The symbolic half is checked with w as an indeterminate, so it covers
     every admissible weight at once; the numeric half tracks the deviation
-    D_m = w S_m(f(.+1)) + S_m(f) - 2 f(0) at the given w.
+    D_m = w S_m(f(.+1)) + S_m(f) - 2 f(0) at the given w.  sums, if given,
+    is partial_sums(f, w, p, levels), already computed (a convergence
+    report's rows hold it), and is used instead of summing f again.
     """
     w = Fraction(w)
     f = _coerce_poly(f)
     f1 = f.shifted(1)
     symbolic = W * exact_integral(f1) + exact_integral(f) - 2 * f.coefficient(0)
     symbolic_ok = symbolic == QW.zero
-    sums_f = partial_sums(f, w, p, levels)
+    sums_f = partial_sums(f, w, p, levels) if sums is None else sums
     sums_f1 = partial_sums(f1, w, p, levels)
     expected = 2 * f.eval_at(0)
     combos = [w * s1 + s0 for s0, s1 in zip(sums_f, sums_f1)]

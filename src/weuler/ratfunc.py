@@ -729,9 +729,9 @@ def _lex_wrational(text: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():          # isdigit() also takes ² and ①, which int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("int", int(text[i:j]), i))
             i = j

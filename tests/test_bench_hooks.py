@@ -5,8 +5,8 @@ each one up by name (methods in their class's ``__dict__``).  A rename or a
 moved method breaks ``--trace 1`` runs of the benchmark; these tests make
 that a fast failure here instead.  The table commands, symbolic and at a
 fixed weight, and the suite workload's two commands must also still print
-the output whose SHA-256 bench/workloads.py pins.  The bench files are only
-imported.
+the output whose SHA-256 bench/workloads.py pins, and so must the numeric
+workload's two padic commands.  The bench files are only imported.
 """
 
 import contextlib
@@ -75,8 +75,8 @@ def test_traced_run_matches_untraced(tracing, capsys):
     assert run(capsys) == plain
 
 
-def assert_pinned_digest(command):
-    pinned = load("workloads").DIGESTS[command]
+def assert_pinned_digest(command, pinned=None):
+    pinned = pinned or load("workloads").DIGESTS[command]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(command.split())
@@ -101,3 +101,16 @@ def test_symbolic_tables_match_pinned_digest(command):
 def test_suite_commands_match_pinned_digest(command, monkeypatch):
     monkeypatch.chdir(BENCH.parent)     # the corpus path is relative to the checkout
     assert_pinned_digest(command)
+
+
+# bench/workloads.py pins no digest for the p = 7 command, the one whose
+# 15178-digit partial sum once stopped its text output; it is pinned here
+P7_DIGEST = "795de85ccfe07835fd58f3a8d36f2dd0bb0e64c1cafdfe65e3015cff51dee1b5"
+
+
+@pytest.mark.parametrize("command, pinned", [
+    ("padic --p 3 --w 4 --poly 0,0,0,0,0,1 --levels 8 --prec 20", None),
+    ("padic --p 7 --w 8 --poly 1 --levels 5 --prec 12", P7_DIGEST),
+])
+def test_padic_commands_match_pinned_digest(command, pinned):
+    assert_pinned_digest(command, pinned)

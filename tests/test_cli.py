@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weuler
+from weuler import padic
 from weuler.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, FORMATS, main
 from weuler.euler import EulerTable
 from weuler.ratfunc import Polynomial
@@ -41,6 +42,11 @@ UID_FILES = {
     "faulty.uid": "forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1\n"
                   "forall n in 0..3 : E(n - 5) = x\n",
     "empty.uid": "forall n in 5..8 : E(n) = 0\n",
+    # a digit int() refuses and a literal past int_max_str_digits: parse errors
+    "digits.uid": "forall n in 0..2 : E(n) = E(n)\n"
+                  "forall n in 0..2 : ² = x\n"
+                  "forall n in 0..2 : x = " + "9" * 5000 + "\n"
+                  "forall n in 0..2 : x = x + 1\n",
 }
 
 
@@ -171,6 +177,17 @@ class TestCheck:
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 
+    def test_bad_literals_are_parse_errors(self, capsys, uid_dir):
+        # the other lines are still checked, and the parse errors set the exit
+        argv = ["check", str(uid_dir / "digits.uid"), "--max-n", "2"]
+        lines = run(capsys, argv, expect=EXIT_USAGE).splitlines()
+        assert [line.split()[0] for line in lines] == ["PASS", "ERROR", "ERROR", "FAIL"]
+        assert lines[1].endswith("syntax error at 2:20, unexpected character '²'")
+        assert lines[2].endswith("syntax error at 3:24, integer literal of 5000 digits is too long")
+        verdicts = run_json(capsys, argv, expect=EXIT_USAGE)["verdicts"]
+        assert [v.get("location") for v in verdicts] == [
+            None, {"line": 2, "column": 20}, {"line": 3, "column": 24}, None]
+
     def test_range_the_cap_leaves_empty_is_a_runtime_error(self, capsys, uid_dir):
         # E(n) = 0 is false; with every index of 5..8 past the cap nothing
         # was checked, so the line is an error, not a PASS
@@ -270,6 +287,20 @@ class TestPadic:
             lines = out.splitlines()
             assert f"    5                 6  {self.digits_text(s5)}" in lines
             assert f"    5          6  {self.digits_text(combo)}" in lines
+
+    def test_partial_sums_of_f_are_made_once(self, capsys, monkeypatch):
+        # the shift check reuses the convergence report's sums of f and
+        # sums f(. + 1) alone
+        real, calls = padic.partial_sums, []
+
+        def counting(f, w, p, levels):
+            calls.append(levels)
+            return real(f, w, p, levels)
+
+        monkeypatch.setattr(padic, "partial_sums", counting)
+        payload = run_json(capsys, self.ARGS)
+        assert calls == [4, 4]
+        assert [row["valuation"] for row in payload["shift"]["levels"]] == [2, 3, 4, 5]
 
     def test_even_p_rejected(self, capsys):
         run(capsys, ["padic", "--p", "4", "--w", "1", "--poly", "1", "--levels", "2", "--prec", "8"],

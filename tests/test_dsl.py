@@ -1,12 +1,17 @@
 """Unit tests for the identity language: lexer, parser, evaluator, checker."""
 
+import functools
 import importlib.resources
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weuler.dsl import (
     TOO_DEEP,
+    Chain,
     DslParseError,
+    Identity,
     TableContext,
     check_corpus,
     check_identity,
@@ -19,7 +24,7 @@ from weuler.euler import EulerTable
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 
 # 400 nested parentheses are past Python's default recursion limit; a sum of
-# 3000 terms, a left-deep tree 3000 nodes tall, is walked without recursing
+# 3000 terms is one Chain node with 2999 steps, walked without recursing
 DEEP_PARENS = "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)"
 LONG_SUM = "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)"
 WRONG_LONG_SUM = LONG_SUM.replace("3000*", "2999*")
@@ -46,6 +51,17 @@ class TestTokenizer:
         with pytest.raises(DslParseError) as err:
             tokenize("1 + $")
         assert err.value.line == 1 and err.value.column == 5
+
+    @pytest.mark.parametrize("char", ["²", "①"])
+    def test_digit_that_is_not_decimal_is_a_bad_character(self, char):
+        # str.isdigit() takes these, int() refuses them
+        with pytest.raises(DslParseError) as err:
+            tokenize(f"1 +\n 2{char}")
+        assert (err.value.line, err.value.column) == (2, 3)
+        assert f"unexpected character {char!r}" in str(err.value)
+
+    def test_decimal_digits_of_any_script_are_integers(self):
+        assert [(t.kind, int(t.text)) for t in tokenize("٢٣")[:-1]] == [("int", 23)]
 
 
 class TestParser:
@@ -75,6 +91,33 @@ class TestParser:
         again = parse_identity(render_identity(ast))
         assert again is not ast
         assert again == ast and hash(again) == hash(ast)
+
+    def test_a_chain_is_one_node(self):
+        lhs = parse_identity(LONG_SUM).lhs
+        assert isinstance(lhs, Chain) and len(lhs.steps) == 2999
+        assert {op for op, _ in lhs.steps} == {"+"} and lhs.first == lhs.steps[0][1]
+
+    @pytest.mark.parametrize("joined, flat", [
+        ("(x + w) - x + 1", "x + w - x + 1"),
+        ("((x - w) + x) + 1", "x - w + x + 1"),
+        ("(x*w)*x*2", "x*w*x*2"),
+        ("(x*w)*x + 1", "x*w*x + 1"),
+    ])
+    def test_a_parenthesized_chain_that_opens_a_chain_joins_it(self, joined, flat):
+        a = parse_identity(f"forall n in 0..2 : {joined} = x")
+        b = parse_identity(f"forall n in 0..2 : {flat} = x")
+        assert a == b and hash(a) == hash(b)
+        assert render_identity(a) == f"forall n in 0..2 : {flat} = x"
+
+    @pytest.mark.parametrize("grouped, flat", [
+        ("x + (w - x)", "x + w - x"),
+        ("x*(w*x)", "x*w*x"),
+        ("(x + w)*x", "x + w*x"),
+    ])
+    def test_other_groupings_stay_distinct(self, grouped, flat):
+        a = parse_identity(f"forall n in 0..2 : {grouped} = x")
+        assert a != parse_identity(f"forall n in 0..2 : {flat} = x")
+        assert render_identity(a) == f"forall n in 0..2 : {grouped} = x"
 
     def test_long_sums_that_differ_are_unequal(self):
         shorter = LONG_SUM.replace("E(n) + ", "", 1)
@@ -231,6 +274,18 @@ class TestCorpus:
         assert [v.status for v in verdicts] == ["pass", "fail", "error"]
         assert verdicts[2].location == (3, 25)
 
+    def test_bad_literals_are_error_verdicts(self, ctx):
+        corpus = ("forall n in 0..2 : E(n) = E(n)\n"
+                  "forall n in 0..2 : ² = x\n"
+                  "forall n in 0..2 : x = " + "9" * 5000 + "\n"
+                  "forall n in 0..2 : x = x + 1\n")
+        verdicts = check_corpus(corpus, ctx)
+        assert [v.status for v in verdicts] == ["pass", "error", "error", "fail"]
+        assert verdicts[1].location == (2, 20)
+        assert verdicts[1].message == "syntax error at 2:20, unexpected character '²'"
+        assert verdicts[2].location == (3, 24)
+        assert verdicts[2].message.endswith("integer literal of 5000 digits is too long")
+
     def test_over_deep_lines_are_errors(self, ctx):
         corpus = "\n".join(["forall n in 0..2 : E(n) = E(n)", DEEP_PARENS, LONG_SUM,
                             WRONG_LONG_SUM])
@@ -258,3 +313,92 @@ class TestCorpus:
         verdicts = check_corpus(corpus, TableContext(), max_n=7)
         assert [v.status for v in verdicts] == ["pass"] * 3
         assert builds == [(8, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Properties of the parser
+
+
+# the characters of the language, three non-ASCII digits and newlines
+DSL_CHARS = "forallinsumbinomEkwxnij0123456789 ..+-*/^(),:=#\n²①٢"
+DSL_WORDS = ["forall ", "n", " in ", "0..3", " : ", "=", "E(n)", "Ek(2, n)", "x", "w", "^",
+             "binom(n, i)", "sum(i = 0..n, ", "(", ")", "+", "-", "*", "1/2", ", x + 1", "\n", "²"]
+ANY_TEXT = st.one_of(st.text(alphabet=DSL_CHARS, max_size=60),
+                     st.lists(st.sampled_from(DSL_WORDS), max_size=20).map("".join))
+
+
+@given(ANY_TEXT)
+@example("forall n in 0..2 : ² = x")
+@example("forall n in 0..2 : x = " + "9" * 5000)
+@settings(max_examples=400, deadline=None)
+def test_any_text_parses_or_fails_at_a_position_inside_it(text):
+    try:
+        ast = parse_identity(text)
+    except DslParseError as exc:
+        lines = text.split("\n")
+        assert 1 <= exc.line <= len(lines), (exc.line, lines)
+        assert 1 <= exc.column <= len(lines[exc.line - 1]) + 1, (exc.column, lines)
+    else:
+        assert isinstance(ast, Identity)
+
+
+@functools.lru_cache(maxsize=None)
+def index_text(bound, signs=("", "-")):
+    term = st.one_of(st.integers(0, 12).map(str), st.sampled_from(bound),
+                     st.builds("{}*{}".format, st.integers(0, 4), st.sampled_from(bound)))
+    rest = st.lists(st.tuples(st.sampled_from([" + ", " - "]), term), max_size=2)
+    return st.builds(lambda sign, first, rest: sign + first + "".join(op + t for op, t in rest),
+                     st.sampled_from(signs), term, rest)
+
+
+@functools.lru_cache(maxsize=None)
+def atom_text(bound):
+    xarg = st.sampled_from(["", ", x", ", x + 2", ", x - 1"])
+    return st.one_of(
+        st.integers(-9, 9).map(str),
+        st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+        st.sampled_from(["w", "x"]),
+        st.builds("E({}{})".format, index_text(bound), xarg),
+        st.builds("Ek({}, {}{})".format, index_text(bound), index_text(bound), xarg),
+        st.builds("binom({}, {})".format, index_text(bound), index_text(bound)),
+    )
+
+
+@st.composite
+def expr_text(draw, bound, depth):
+    kind = draw(st.sampled_from(["atom", "atom", "paren", "chain", "chain", "power", "sum"]
+                                if depth else ["atom"]))
+    if kind == "atom":
+        return draw(atom_text(bound))
+    if kind == "paren":
+        return f"({draw(expr_text(bound, depth - 1))})"
+    if kind == "chain":
+        ops = draw(st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=1, max_size=3))
+        text = draw(expr_text(bound, depth - 1))
+        for op in ops:
+            text += op + draw(expr_text(bound, depth - 1))
+        return text
+    if kind == "power":
+        base = draw(st.one_of(atom_text(bound), expr_text(bound, depth - 1).map("({})".format)))
+        # a negative literal exponent is a parse error, so none is drawn
+        exponent = draw(st.one_of(st.integers(0, 4).map(str), st.sampled_from(bound),
+                                  index_text(bound, signs=("",)).map("({})".format)))
+        return f"{base}^{exponent}"
+    var = next(v for v in "ijkm" if v not in bound)
+    lo, hi = draw(index_text(bound)), draw(index_text(bound))
+    return f"sum({var} = {lo}..{hi}, {draw(expr_text(bound + (var,), depth - 1))})"
+
+
+IDENTITY_TEXT = st.builds("forall n in {0}..{1} : {2} = {3}".format,
+                          st.integers(0, 3), st.integers(3, 6),
+                          expr_text(("n",), 3), expr_text(("n",), 3))
+
+
+@given(IDENTITY_TEXT)
+@settings(max_examples=300, deadline=None)
+def test_render_then_parse_is_the_identity(text):
+    ast = parse_identity(text)
+    rendered = render_identity(ast)
+    again = parse_identity(rendered)
+    assert again == ast and hash(again) == hash(ast)
+    assert render_identity(again) == rendered

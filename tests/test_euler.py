@@ -155,23 +155,24 @@ class TestOrderK:
         order_k = {k: order_k_numbers(9, k) for k in (1, 2, 3, 4)}
         fresh = {(k, n): order_k_multinomial(k, n, numbers=numbers, order_k=order_k[k])
                  for k in order_k for n in range(9)}
-        shared = euler._SharedNumbers(numbers)
+        products = {}
         real_mul = WRational.__mul__
-        products = 0
+        muls = 0
 
         def counting_mul(self, other):
-            nonlocal products
-            products += 1
+            nonlocal muls
+            muls += 1
             return real_mul(self, other)
 
         monkeypatch.setattr(WRational, "__mul__", counting_mul)
         for k in order_k:
             for n in range(9):
-                products = 0
-                lhs, rhs = order_k_multinomial(k, n, numbers=shared, order_k=order_k[k])
+                muls = 0
+                lhs, rhs = order_k_multinomial(k, n, numbers=numbers, order_k=order_k[k],
+                                               products=products)
                 partitions = sum(1 for parts in itertools.combinations_with_replacement(range(n + 1), k)
                                  if sum(parts) == n)
-                assert products == (partitions if k > 1 else 0), (k, n)
+                assert muls == (partitions if k > 1 else 0), (k, n)
                 want = fresh[k, n]
                 assert (lhs, rhs) == want and hash(rhs) == hash(want[1]), (k, n)
 

@@ -208,6 +208,12 @@ class TestRendering:
         with pytest.raises(ValueError, match="unexpected character 'v'"):
             QW.parse("2*v")
 
+    @pytest.mark.parametrize("text", ["²", "1 + w^²", "①*w"])
+    def test_parse_rejects_digits_that_are_not_decimal(self, text):
+        # str.isdigit() takes ² and ①, which int() refuses
+        with pytest.raises(ValueError, match="unexpected character '[²①]'"):
+            QW.parse(text)
+
     def test_parse_rejects_deep_nesting(self):
         assert QW.parse("(" * 50 + "w" + ")" * 50) == W
         with pytest.raises(ValueError, match="nested too deeply"):

@@ -94,6 +94,10 @@ def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
+        digits, limit = sum(ch.isdecimal() for ch in text), sys.get_int_max_str_digits()
+        if limit and digits > limit:   # too long for int(); echoing it would flood the terminal
+            raise UsageError(f"{what} has {digits} digits, past Python's int_max_str_digits "
+                             f"limit of {limit}") from None
         raise UsageError(f"{what} must be a rational like 4 or -1/2, got {text!r}")
 
 

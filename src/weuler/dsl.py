@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .euler import EulerTable
+from .euler import EulerTable, TableChain
 from .ratfunc import QW, W, Polynomial, binomial, join_signed
 
 KEYWORDS = {"forall", "in", "sum", "binom", "E", "Ek", "w", "x"}
@@ -69,8 +69,10 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
             col += 1
             i += 1
             continue
-        if ch == "#":
-            break
+        if ch == "#":               # a comment runs to the end of its line
+            end = text.find("\n", i)
+            i = len(text) if end < 0 else end
+            continue
         if ch.isdecimal():          # isdigit() also takes ² and ①, which int() refuses
             j = i
             while j < len(text) and text[j].isdecimal():
@@ -500,33 +502,29 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 
 
 class TableContext:
-    """Euler tables by order, each built on first use through max_index.
+    """Euler tables of every order, read from one TableChain sized through max_index.
 
     max_index is the largest index asked for by an identity checked with
     this context; check_identity raises it to its own identity's reach and
     check_corpus to the whole corpus's before the first check, so a corpus
-    builds each order once whatever order its ranges come in.  A table
-    reaches the index asked for if that is larger, and is rebuilt only when
-    an index past it is asked for.  Order k extends the table of order
-    k - 1 by one product when that table has the same count.
+    builds each order once whatever order its ranges come in.  The chain is
+    sized through max_index, or through the index asked for if that is
+    larger.  It is rebuilt, dropping every order it held, only when an
+    identity reaches past it, so no order is read from a chain that is
+    about to be replaced.
     """
 
     def __init__(self):
         self.max_index = 0
-        self.tables: dict[int, EulerTable] = {}
+        self.chain: Optional[TableChain] = None
 
     def table(self, order: int, index: int) -> EulerTable:
         if order < 1:
             raise DslEvalError(f"order must be at least 1, got {order}")
-        tab = self.tables.get(order)
-        if tab is None or tab.count <= index:
-            count = max(index, self.max_index) + 1
-            lower = self.tables.get(order - 1)
-            if lower is not None and lower.count != count:
-                lower = None
-            tab = EulerTable.build(count, order, lower=lower)
-            self.tables[order] = tab
-        return tab
+        reach = max(index, self.max_index)
+        if self.chain is None or self.chain.count <= reach:
+            self.chain = TableChain(reach + 1)
+        return self.chain.table(order)
 
     def number(self, order: int, index: int):
         return self.table(order, index).numbers[index]

@@ -47,13 +47,7 @@ def gf_denominator(precision: int, order: int = 1, w=None) -> Series:
 
 def weighted_euler_gf(precision: int, order: int = 1, w=None) -> Series:
     """(2/(w e^t + 1))^order; the numbers are n! times its coefficients."""
-    if precision < 1 or order < 1:
-        raise ValueError("precision and order must be at least 1")
-    gf = gf_denominator(precision, 1, w).inverse()
-    out = gf
-    for _ in range(order - 1):
-        out = out * gf
-    return out
+    return TableChain(precision, w).power(order)
 
 
 def weighted_euler_numbers(count: int, w=None) -> list:
@@ -78,15 +72,12 @@ def weighted_euler_numbers(count: int, w=None) -> list:
 
 def order_k_numbers(count: int, order: int = 1, w=None) -> list:
     """E^{(k)}_{n,w} = n! [t^n] of the order-k generating function."""
-    gf = weighted_euler_gf(count, order, w)
-    return [gf.umbral_coefficient(n) for n in range(count)]
+    return list(EulerTable.build(count, order, w).numbers)
 
 
 def weighted_euler_polys(count: int, order: int = 1, w=None) -> list[Polynomial]:
     """E^{(k)}_{n,w}(x) = sum_l C(n,l) x^l E^{(k)}_{n-l,w}."""
-    field, _ = _field_and_w(w)
-    numbers = order_k_numbers(count, order, w)
-    return _polys_from_numbers(field, numbers)
+    return list(EulerTable.build(count, order, w).polys)
 
 
 def _polys_from_numbers(field, numbers: Sequence) -> list[Polynomial]:
@@ -120,55 +111,26 @@ class EulerTable:
     w0 is None and Q otherwise, and the polynomials
     p_n = sum_l C(n,l) E_{n-l} x^l are built from the numbers on first read,
     so a table of numbers alone never builds them.  The constructor stores
-    the numbers it is given (tests inject faults through it); build()
-    derives them from the generating function and checks the structural
-    invariant.
+    the numbers it is given (tests inject faults through it); build() reads
+    them from a TableChain, which checks the structural invariant.
     """
 
-    __slots__ = ("order", "numbers", "w0", "_polys", "_gf")
+    __slots__ = ("order", "numbers", "w0", "_polys")
 
     def __init__(self, order: int, numbers: Sequence, w0=None):
         self.order = order
         self.numbers = tuple(numbers)
         self.w0 = w0
         self._polys = None
-        self._gf = None              # the order-1 series build() multiplied by
 
     @classmethod
-    def build(cls, count: int, order: int = 1, w=None,
-              lower: Optional["EulerTable"] = None) -> "EulerTable":
+    def build(cls, count: int, order: int = 1, w=None) -> "EulerTable":
         """The order-k table from the generating function, for n < count.
 
-        Without `lower`, one inverse and order - 1 products.  `lower`, if
-        given, must be a table of order - 1 with the same count and weight;
-        its numbers are then multiplied by the order-1 series once, so a
-        chain of orders costs one product per order.  The numbers a lower
-        table holds are what is extended, so a perturbed one extends to a
-        perturbed table.
+        One inverse and order - 1 products; a caller that needs several
+        orders at one count and weight reads them from one TableChain.
         """
-        field, wv = _field_and_w(w)
-        w0 = None if w is None else Fraction(w)
-        if lower is None:
-            gf = weighted_euler_gf(count, 1, w)
-            power = gf
-            for _ in range(order - 1):
-                power = power * gf
-        else:
-            if lower.count != count or lower.w0 != w0 or lower.order != order - 1:
-                raise ValueError(
-                    f"cannot extend an order-{lower.order} table of count {lower.count} at "
-                    f"w = {lower.w0} to order {order}, count {count}, w = {w0}")
-            gf = weighted_euler_gf(count, 1, w) if lower._gf is None else lower._gf
-            coeffs = [e * Fraction(1, math.factorial(n)) for n, e in enumerate(lower.numbers)]
-            power = Series._make(field, coeffs, count) * gf
-        numbers = [power.umbral_coefficient(n) for n in range(count)]
-        # p_n = sum_l C(n,l) E_{n-l} x^l has constant term E_n and leading
-        # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
-        if numbers[0] != (field.of(2) / (wv + 1)) ** order:
-            raise AssertionError("degree law broken at n=0")
-        table = cls(order, numbers, w0)
-        table._gf = gf
-        return table
+        return TableChain(count, w).table(order)
 
     @property
     def field(self):
@@ -200,6 +162,48 @@ class EulerTable:
         numbers = list(self.numbers)
         numbers[n] = numbers[n] + self.field.of(delta)
         return EulerTable(self.order, numbers, self.w0)
+
+
+class TableChain:
+    """GF^k = (2/(w e^t + 1))^k and its table, for every order k at one count and weight.
+
+    g = (w e^t + 1)/2 is inverted once.  The first time order k is asked
+    for, GF^k is made from GF^(k-1) by one product with GF, so orders 1..k
+    cost one inverse and k - 1 products, and only orders up to the highest
+    one asked for are made.  The powers come from the series alone, never
+    from a table's numbers, so no table handed around (a perturbed one, say)
+    can leak into a higher order.
+    """
+
+    def __init__(self, count: int, w=None):
+        if count < 1:
+            raise ValueError("count must be at least 1")
+        self.count = count
+        self.w0 = None if w is None else Fraction(w)
+        self._powers: list[Series] = []          # GF^1, GF^2, ... as far as asked
+        self._tables: dict[int, EulerTable] = {}
+
+    def power(self, order: int) -> Series:
+        if order < 1:
+            raise ValueError("order must be at least 1")
+        if not self._powers:
+            self._powers.append(gf_denominator(self.count, 1, self.w0).inverse())
+        while len(self._powers) < order:
+            self._powers.append(self._powers[-1] * self._powers[0])
+        return self._powers[order - 1]
+
+    def table(self, order: int) -> EulerTable:
+        table = self._tables.get(order)
+        if table is None:
+            power = self.power(order)
+            numbers = [power.umbral_coefficient(n) for n in range(self.count)]
+            # p_n = sum_l C(n,l) E_{n-l} x^l has constant term E_n and leading
+            # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
+            field, wv = _field_and_w(self.w0)
+            if numbers[0] != (field.of(2) / (wv + 1)) ** order:
+                raise AssertionError("degree law broken at n=0")
+            table = self._tables[order] = EulerTable(order, numbers, self.w0)
+        return table
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +311,8 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     """Run the full identity suite over Q(w) for n < max_n, 1 <= k <= max_k.
 
     `tables` may supply prebuilt (possibly perturbed) EulerTable values keyed
-    by order; missing orders are built along one chain from a fresh order-1
-    table, never by extending a supplied one.  Failures are reported, never
+    by order; missing orders are read from one TableChain of their own,
+    never extended from a supplied table.  Failures are reported, never
     raised.  Each check is a generator of (n, k, difference) cases, consumed
     only up to its first failure.
 
@@ -318,14 +322,11 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     """
     if max_n < 2 or max_k < 1:
         raise ValueError("need max_n >= 2 and max_k >= 1")
-    tables = dict(tables) if tables else {}
-    w0 = next((t.w0 for t in tables.values()), None)
+    supplied = tables or {}
+    w0 = next((t.w0 for t in supplied.values()), None)
     orders = range(1, max_k + 1)
-    missing = [k for k in orders if k not in tables]
-    chain = None
-    for k in range(1, max(missing, default=0) + 1):
-        chain = EulerTable.build(max_n, k, w=w0, lower=chain)
-        tables.setdefault(k, chain)
+    chain = TableChain(max_n, w0)
+    tables = {k: supplied[k] if k in supplied else chain.table(k) for k in orders}
 
     t1 = tables[1]
     field = t1.field

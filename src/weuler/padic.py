@@ -308,10 +308,6 @@ class _LevelReport:
     def valuations(self) -> list[int]:
         return [r.deviation_valuation for r in self.rows]
 
-    def strictly_increasing(self) -> bool:
-        v = self.valuations
-        return all(b > a for a, b in zip(v, v[1:]))
-
     def _level_lines(self, width: int) -> list[str]:
         lines = []
         for r in self.rows:

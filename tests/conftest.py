@@ -22,3 +22,25 @@ def series_ops(monkeypatch):
     monkeypatch.setattr(Series, "inverse", inverse)
     monkeypatch.setattr(Series, "__mul__", mul)
     return counts
+
+
+
+@pytest.fixture
+def dsl_chains(monkeypatch):
+    """Every TableChain a TableContext makes from here on; each has the set of orders read."""
+    from weuler import dsl
+
+    chains = []
+
+    class RecordingChain(dsl.TableChain):
+        def __init__(self, count, w=None):
+            super().__init__(count, w)
+            self.orders = set()
+            chains.append(self)
+
+        def table(self, order):
+            self.orders.add(order)
+            return super().table(order)
+
+    monkeypatch.setattr(dsl, "TableChain", RecordingChain)
+    return chains

@@ -200,26 +200,18 @@ class TestCheck:
             "message": "range 5..8 capped at max_n=3 checks no index",
         }]
 
-    def test_one_table_build_per_order(self, capsys, monkeypatch):
+    def test_one_table_build_per_order(self, capsys, dsl_chains):
         # the corpus uses orders 1, 2 and 3 up to index 8 and asks for index
-        # n + 1 at its top n; each order is built once, through the largest
-        # index the corpus asks for, however far --max-n reaches past that
-        builds = []
-        real_build = EulerTable.build
-
-        def counting_build(count, order, **kwargs):
-            builds.append((count, order))
-            return real_build(count, order, **kwargs)
-
-        monkeypatch.setattr(EulerTable, "build", counting_build)
+        # n + 1 at its top n; one chain holds them all, built through the
+        # largest index the corpus asks for, however far --max-n reaches past that
         for max_n, count in (("5", 7), ("10", 9), ("20", 9)):
-            builds.clear()
+            dsl_chains.clear()
             run(capsys, ["check", CORPUS, "--max-n", max_n])
-            assert builds == [(count, 1), (count, 2), (count, 3)], max_n
+            assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(count, [1, 2, 3])], max_n
 
     def test_orders_extend_one_chain(self, capsys, series_ops):
         # order 1 inverts the generating function once; orders 2 and 3 each
-        # extend the order below by one product
+        # take one product with it
         run(capsys, ["check", CORPUS, "--max-n", "10"])
         assert series_ops == {"inverse": 1, "mul": 2}
 
@@ -323,6 +315,20 @@ class TestPlumbing:
     def test_invalid_format(self, capsys):
         assert main(["numbers", "--max-n", "3", "--format", "yaml"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, what", [
+        (["numbers", "--max-n", "2", "--w", "9" * 5000], "--w"),
+        (["padic", "--p", "3", "--w", "4", "--poly", "1," + "9" * 5000, "--levels", "2",
+          "--prec", "8"], "--poly entry"),
+    ], ids=["w", "poly"])
+    def test_rational_past_the_digit_limit_names_the_limit(self, capsys, argv, what):
+        # int() refuses the value; the message says so and does not echo its digits
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (f"weuler: error: {what} has 5000 digits, past Python's "
+                                f"int_max_str_digits limit of {limit}\n")
 
     def test_format_env_default(self, capsys, monkeypatch):
         monkeypatch.setenv("WEULER_FORMAT", "json")

@@ -19,7 +19,6 @@ from weuler.dsl import (
     render_identity,
     tokenize,
 )
-from weuler.euler import EulerTable
 
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 
@@ -46,6 +45,19 @@ class TestTokenizer:
     def test_comments_end_the_line(self):
         toks = tokenize("1 # trailing words ( ^..")
         assert [t.kind for t in toks] == ["int", "end"]
+
+    def test_comment_ends_its_own_line_only(self):
+        toks = tokenize("1 # c ( ^..\n2")
+        assert [(t.kind, t.text, t.line, t.column) for t in toks] == [
+            ("int", "1", 1, 1), ("int", "2", 2, 1), ("end", "", 2, 2)]
+
+    def test_identity_continues_after_a_comment(self, ctx):
+        assert parse_identity("forall n in 0..2 : x # c\n = w").rhs == parse_identity(
+            "forall n in 0..2 : x = w").rhs
+        ast = parse_identity("forall n in 0..2 : w*E(n, x + 1) # the shifted term\n"
+                             "  + E(n, x) = 2*x^n # reflection")
+        assert ast == parse_identity(REFLECTION.replace("0..8", "0..2"))
+        assert check_identity(ast, ctx).status == "pass"
 
     def test_bad_character(self):
         with pytest.raises(DslParseError) as err:
@@ -237,7 +249,7 @@ class TestEvaluation:
         if status == "error":
             assert v.message == f"range 5..8 capped at max_n={max_n} checks no index"
             assert v.at is None and v.location is None
-            assert empty.tables == {}
+            assert empty.chain is None
         else:
             assert v.at == 5
 
@@ -246,7 +258,14 @@ class TestEvaluation:
         for hi, count in ((3, 4), (6, 7)):
             v = check_identity(parse_identity(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)"), growing)
             assert v.status == "pass"
-            assert growing.tables[2].count == count
+            assert growing.chain.count == count
+
+    def test_an_index_past_the_chain_rebuilds_it_for_every_order(self, dsl_chains):
+        ctx = TableContext()
+        for text in ("forall n in 0..3 : Ek(3, n) = Ek(3, n)",
+                     "forall n in 0..5 : E(n) + Ek(2, n) = Ek(2, n) + E(n)"):
+            assert check_identity(parse_identity(text), ctx).status == "pass"
+        assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(4, [3]), (6, [1, 2])]
 
 
 class TestCorpus:
@@ -300,19 +319,11 @@ class TestCorpus:
         verdict = check_identity(parse_identity(WRONG_LONG_SUM), ctx)
         assert (verdict.status, verdict.at, verdict.difference) == ("fail", 0, "2/(1 + w)")
 
-    def test_ascending_ranges_build_each_order_once(self, monkeypatch):
-        builds = []
-        real_build = EulerTable.build
-
-        def counting_build(count, order, **kwargs):
-            builds.append((count, order))
-            return real_build(count, order, **kwargs)
-
-        monkeypatch.setattr(EulerTable, "build", counting_build)
+    def test_ascending_ranges_build_each_order_once(self, dsl_chains):
         corpus = "".join(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)\n" for hi in (3, 6, 8))
         verdicts = check_corpus(corpus, TableContext(), max_n=7)
         assert [v.status for v in verdicts] == ["pass"] * 3
-        assert builds == [(8, 2)]
+        assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(8, [2])]
 
 
 # ---------------------------------------------------------------------------

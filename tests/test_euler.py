@@ -10,7 +10,9 @@ import pytest
 from weuler import cli, euler
 from weuler.euler import (
     EulerTable,
+    TableChain,
     classical_euler_polys,
+    gf_denominator,
     order_k_multinomial,
     order_k_numbers,
     verify_paper_suite,
@@ -19,7 +21,7 @@ from weuler.euler import (
     weighted_euler_polys,
 )
 from weuler.ratfunc import QQ, QW, W, WRational, binomial
-from weuler.series import exp_series
+from weuler.series import Series, exp_series
 from weuler.umbral import XPolynomial, apply_functional, pairing
 
 # Frozen oracle: first symbolic weighted Euler numbers, derived by hand from
@@ -311,12 +313,12 @@ class TestEulerTable:
     @pytest.mark.parametrize("w", [None, Fraction(4)], ids=["symbolic", "w=4"])
     def test_build_rejects_a_wrong_leading_number(self, monkeypatch, w):
         # a generating function with a wrong constant term gives a wrong E_0
-        real = euler.weighted_euler_gf
+        real = euler.gf_denominator
 
         def wrong_e0(precision, order=1, w=None):
             return real(precision, order, w).add_constant(1)
 
-        monkeypatch.setattr(euler, "weighted_euler_gf", wrong_e0)
+        monkeypatch.setattr(euler, "gf_denominator", wrong_e0)
         with pytest.raises(AssertionError, match="degree law broken at n=0"):
             EulerTable.build(5, 2, w=w)
 
@@ -325,61 +327,71 @@ class TestTableChain:
     @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)],
                              ids=["symbolic", "w=4", "w=-3/2"])
     def test_chain_equals_independent_builds(self, w):
-        lower = None
-        for k in range(1, 5):
-            lower = EulerTable.build(8, k, w=w, lower=lower)
-            fresh = EulerTable.build(8, k, w=w)
-            assert lower.order == k and lower.w0 == fresh.w0
-            assert lower.numbers == fresh.numbers
-            assert lower.polys == fresh.polys
+        # one chain read out of order equals a fresh build per order, and the
+        # numbers equal the other route to GF^k: the power g^k, then its inverse
+        chain = TableChain(8, w)
+        for k in (3, 1, 4, 2):
+            table, fresh = chain.table(k), EulerTable.build(8, k, w=w)
+            assert table.order == k and table.w0 == fresh.w0
+            assert table.numbers == fresh.numbers
+            assert table.polys == fresh.polys
+            inverted = gf_denominator(8, k, w).inverse()
+            assert list(table.numbers) == [inverted.umbral_coefficient(n) for n in range(8)]
+            assert chain.table(k) is table
 
-    def test_one_product_per_extension(self, series_ops):
-        t2 = EulerTable.build(8, 2, lower=EulerTable.build(8, 1))
-        EulerTable.build(8, 3, lower=t2)
+    @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)],
+                             ids=["symbolic", "w=4", "w=-3/2"])
+    def test_gf_powers_equal_inverted_powers_of_g(self, w):
+        chain = TableChain(7, w)
+        for k in (1, 2, 3):
+            power = weighted_euler_gf(7, k, w)
+            assert power.coeffs == chain.power(k).coeffs
+            assert power.coeffs == gf_denominator(7, k, w).inverse().coeffs
+
+    def test_count_and_order_below_one_are_rejected(self):
+        for make in (lambda: TableChain(4).table(0), lambda: weighted_euler_gf(4, 0)):
+            with pytest.raises(ValueError, match="order must be at least 1"):
+                make()
+        for make in (lambda: EulerTable.build(0), lambda: weighted_euler_gf(0)):
+            with pytest.raises(ValueError, match="count must be at least 1"):
+                make()
+
+    def test_one_product_per_order(self, series_ops):
+        chain = TableChain(8)
+        for k in (3, 1, 2, 3):
+            chain.table(k)
         assert series_ops == {"inverse": 1, "mul": 2}
 
-    @pytest.mark.parametrize("count, order, w, lower_w", [
-        (7, 2, None, None), (9, 2, None, None), (8, 2, 4, None), (8, 2, None, Fraction(-3, 2)),
-        (8, 2, 4, Fraction(-3, 2)), (8, 3, None, None),
-    ], ids=["shorter", "longer", "weighted", "symbolic", "other weight", "skips an order"])
-    def test_build_rejects_a_mismatched_lower_table(self, count, order, w, lower_w):
-        lower = EulerTable.build(8, 1, w=lower_w)
-        with pytest.raises(ValueError, match="cannot extend"):
-            EulerTable.build(count, order, w=w, lower=lower)
-
-    def test_perturbed_lower_table_extends_its_own_numbers(self):
-        t2 = EulerTable.build(8, 2)
-        t3 = EulerTable.build(8, 3, lower=t2.with_perturbed_number(4))
-        fresh = EulerTable.build(8, 3)
-        assert t3.numbers[:4] == fresh.numbers[:4]
-        assert t3.numbers[4] != fresh.numbers[4]
-
     def test_suite_never_extends_a_supplied_table(self, monkeypatch):
+        # the orders the caller left out come from the suite's own chain of
+        # series powers, which no supplied table's numbers enter
         perturbed = EulerTable.build(8, 1).with_perturbed_number(3)
-        built = []
-        real_build = EulerTable.build
+        fresh = {k: EulerTable.build(8, k) for k in (2, 3)}
+        read = {}
+        real_table = TableChain.table
 
-        def recording_build(count, order=1, w=None, lower=None):
-            assert lower is not perturbed
-            table = real_build(count, order, w=w, lower=lower)
-            built.append(table)
+        def recording_table(chain, order):
+            table = real_table(chain, order)
+            if chain.w0 is None:         # check (k) builds its own table at w = 1
+                read[order] = table
             return table
 
-        monkeypatch.setattr(EulerTable, "build", recording_build)
+        monkeypatch.setattr(TableChain, "table", recording_table)
         report = verify_paper_suite(8, 3, tables={1: perturbed})
         assert not report.passed
-        chain = {t.order: t for t in built if t.w0 is None}
-        assert sorted(chain) == [1, 2, 3]
+        assert sorted(read) == [2, 3]
         for k in (2, 3):
-            fresh = real_build(8, k)
-            assert chain[k].numbers == fresh.numbers
-            assert chain[k].polys == fresh.polys
+            assert read[k].numbers == fresh[k].numbers
+            assert read[k].polys == fresh[k].polys
 
     def test_faulty_chain_is_caught_by_the_power_then_invert_route(self):
-        # an order-3 table extended from a perturbed order-2 table is what a
-        # faulty product chain would build; (g) and (h) recompute GF^3 as
-        # (g^3)^{-1}, not along the chain, so both must fail at k = 3
-        faulty = EulerTable.build(8, 3, lower=EulerTable.build(8, 2).with_perturbed_number(4))
+        # an order-3 table made from a perturbed GF^2 is what a faulty product
+        # chain would build; (g) and (h) recompute GF^3 as (g^3)^{-1}, not
+        # along the chain, so both must fail at k = 3
+        t2 = EulerTable.build(8, 2).with_perturbed_number(4)
+        lower = Series(QW, [e * Fraction(1, math.factorial(n)) for n, e in enumerate(t2.numbers)])
+        power = lower * weighted_euler_gf(8)
+        faulty = EulerTable(3, [power.umbral_coefficient(n) for n in range(8)])
         report = verify_paper_suite(8, 3, tables={3: faulty})
         by_label = {r.check[:3]: r for r in report.results}
         for label in ("(g)", "(h)"):
@@ -394,6 +406,12 @@ class TestTableChain:
         # (c): 1 product; (g)/(h): 3 powers of g, 3 inverses; (k) at w=1: 1 inverse
         assert verify_paper_suite(12, 4).passed
         assert series_ops["inverse"] <= 7 and series_ops["mul"] <= 7, series_ops
+
+    def test_suite_series_operations_at_order_3(self, series_ops):
+        # the order 1..3 chain: 1 inverse, 2 products; GF: 1 inverse;
+        # (c): 1 product; (g)/(h): 2 powers of g, 2 inverses; (k) at w=1: 1 inverse
+        assert verify_paper_suite(8, 3).passed
+        assert series_ops == {"inverse": 5, "mul": 5}
 
 
 class TestVerifySuite:

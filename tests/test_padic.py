@@ -169,7 +169,6 @@ class TestConvergence:
     def test_pinned_valuations(self):
         rep = convergence_report([Fraction(1)], Fraction(4), 3, 4, 12)
         assert rep.valuations == [2, 3, 4, 5]
-        assert rep.strictly_increasing()
         assert rep.target == Fraction(2, 5)
 
     def test_exact_zero_sentinel(self):
@@ -177,7 +176,6 @@ class TestConvergence:
         rep = convergence_report([Fraction(1)], Fraction(1), 3, 3, 5)
         assert all(r.exact_zero for r in rep.rows)
         assert rep.valuations == [5 * ZERO_VALUATION_GUARD] * 3
-        assert rep.strictly_increasing() is False
 
     def test_inadmissible_weight_rejected(self):
         with pytest.raises(ValueError, match="requires"):
@@ -206,7 +204,6 @@ class TestShiftIdentity:
             f = [Fraction(0)] * n + [Fraction(1)]
             rep = shift_identity_check(f, Fraction(4), 3, 3, 14)
             assert rep.valuations == [n * m for m in (1, 2, 3)]
-            assert rep.strictly_increasing()
 
     def test_constant_deviation_law(self):
         # for f = 1 the deviation is w^{p^m} - 1, so v(D_m) = m + 1 at w = 1 + p

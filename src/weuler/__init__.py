@@ -49,7 +49,6 @@ from .padic import (
 from .dsl import (
     DslEvalError,
     DslParseError,
-    TableContext,
     Verdict,
     check_corpus,
     check_identity,
@@ -98,7 +97,6 @@ __all__ = [
     "shift_identity_check",
     "DslParseError",
     "DslEvalError",
-    "TableContext",
     "Verdict",
     "parse_identity",
     "check_identity",

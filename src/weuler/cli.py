@@ -21,7 +21,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .dsl import TableContext, check_corpus
+from .dsl import check_corpus
 from .euler import EulerTable, verify_paper_suite
 from .padic import convergence_report, is_admissible_weight, is_odd_prime, shift_identity_check
 from .ratfunc import Polynomial
@@ -175,7 +175,7 @@ def _run_check(args):
             corpus = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc.strerror}")
-    verdicts = check_corpus(corpus, TableContext(), max_n=args.max_n)
+    verdicts = check_corpus(corpus, max_n=args.max_n)
     statuses = {v.status for v in verdicts}
     code = (EXIT_USAGE if any(v.location is not None for v in verdicts)   # a parse error
             else EXIT_RUNTIME if "error" in statuses

@@ -8,7 +8,8 @@ so a sum of thousands of terms is parsed, evaluated, rendered, compared and
 hashed in a loop.  Index expressions are integer-linear in the bound
 variables; there is no division operator (rational constants are written as
 literals like 1/2).  Both sides evaluate to polynomials in x over Q(w) and
-are compared in canonical form.
+are compared in canonical form; a check reads the Euler tables of every
+order from one euler.TableChain of its own.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .euler import EulerTable, TableChain
+from .euler import TableChain
 from .ratfunc import QW, W, Polynomial, binomial, join_signed
 
 KEYWORDS = {"forall", "in", "sum", "binom", "E", "Ek", "w", "x"}
@@ -501,38 +502,6 @@ def parse_identity(text: str, line: int = 1) -> Identity:
 # Evaluation
 
 
-class TableContext:
-    """Euler tables of every order, read from one TableChain sized through max_index.
-
-    max_index is the largest index asked for by an identity checked with
-    this context; check_identity raises it to its own identity's reach and
-    check_corpus to the whole corpus's before the first check, so a corpus
-    builds each order once whatever order its ranges come in.  The chain is
-    sized through max_index, or through the index asked for if that is
-    larger.  It is rebuilt, dropping every order it held, only when an
-    identity reaches past it, so no order is read from a chain that is
-    about to be replaced.
-    """
-
-    def __init__(self):
-        self.max_index = 0
-        self.chain: Optional[TableChain] = None
-
-    def table(self, order: int, index: int) -> EulerTable:
-        if order < 1:
-            raise DslEvalError(f"order must be at least 1, got {order}")
-        reach = max(index, self.max_index)
-        if self.chain is None or self.chain.count <= reach:
-            self.chain = TableChain(reach + 1)
-        return self.chain.table(order)
-
-    def number(self, order: int, index: int):
-        return self.table(order, index).numbers[index]
-
-    def poly(self, order: int, index: int) -> Polynomial:
-        return self.table(order, index).polys[index]
-
-
 def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
     value = idx.evaluate(env)
     if value < 0:
@@ -541,8 +510,9 @@ def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
     return value
 
 
-def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
-    """Exact polynomial in x over Q(w); env binds every index variable."""
+def evaluate_expr(node, env: dict, tables: TableChain) -> Polynomial:
+    """Exact polynomial in x over Q(w); env binds every index variable, and
+    `tables` reaches every index the node asks for."""
     if isinstance(node, Lit):
         return Polynomial(QW, (QW.of(node.value),))
     if isinstance(node, Sym):
@@ -550,9 +520,12 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
     if isinstance(node, ECall):
         order = 1 if node.order is None else node.order.evaluate(env)
         index = _index_value(node.index, env, "index")
+        if order < 1:
+            raise DslEvalError(f"order must be at least 1, got {order}")
+        table = tables.table(order)
         if node.xarg is None:
-            return Polynomial(QW, (ctx.number(order, index),))
-        return ctx.poly(order, index).shifted(node.xarg)
+            return Polynomial(QW, (table.numbers[index],))
+        return table.polys[index].shifted(node.xarg)
     if isinstance(node, Binom):
         n = node.top.evaluate(env)
         k = node.bottom.evaluate(env)
@@ -564,16 +537,16 @@ def evaluate_expr(node, env: dict, ctx: TableContext) -> Polynomial:
         inner = dict(env)
         for v in range(lo, hi + 1):
             inner[node.var] = v
-            acc = acc + evaluate_expr(node.body, inner, ctx)
+            acc = acc + evaluate_expr(node.body, inner, tables)
         return acc
     if isinstance(node, Chain):
-        acc = evaluate_expr(node.first, env, ctx)
+        acc = evaluate_expr(node.first, env, tables)
         for op, operand in node.steps:
-            acc = _OPS[op][1](acc, evaluate_expr(operand, env, ctx))
+            acc = _OPS[op][1](acc, evaluate_expr(operand, env, tables))
         return acc
     if isinstance(node, PowExpr):
         exp = _index_value(node.exponent, env, "exponent")
-        return evaluate_expr(node.base, env, ctx) ** exp
+        return evaluate_expr(node.base, env, tables) ** exp
     raise DslEvalError(f"unknown node {node!r}")
 
 
@@ -636,29 +609,30 @@ def _node_reach(node, env: dict) -> int:
 def _reach(ast: Identity, max_n: Optional[int]) -> int:
     """Largest table index the identity asks for over its checked range.
 
-    Index expressions are walked, not evaluated into polynomials, so an
-    index past n (E(n + 1) at n = hi) sizes the tables before the first
-    build instead of forcing a rebuild once the check gets there.
+    Index expressions are walked, not evaluated into polynomials, so the one
+    chain a check reads is sized before its first table is built, an index
+    past n (E(n + 1) at n = hi) included.
     """
     return max((_node_reach(side, {ast.var: n})
                 for n in range(ast.lo, _checked_top(ast, max_n) + 1)
                 for side in (ast.lhs, ast.rhs)), default=-1)
 
 
-def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None) -> Verdict:
-    """Exact check over the declared range, optionally capped at max_n."""
+def _chain_through(reach: int) -> Optional[TableChain]:
+    """The tables of every order through index `reach`; None if no table is read."""
+    return TableChain(reach + 1) if reach >= 0 else None
+
+
+def _check(ast: Identity, max_n: Optional[int], tables: Optional[TableChain]) -> Verdict:
+    """The verdict of an identity read from tables that reach every index it asks for."""
     hi = _checked_top(ast, max_n)
     if hi < ast.lo:                # a PASS would claim an identity no index was checked for
         return Verdict("error", ast.source,
                        message=f"range {ast.lo}..{ast.hi} capped at max_n={max_n} checks no index")
-    try:
-        ctx.max_index = max(ctx.max_index, _reach(ast, max_n))
-    except RecursionError:
-        return Verdict("error", ast.source, message=TOO_DEEP)
     for n in range(ast.lo, hi + 1):
         env = {ast.var: n}
         try:
-            diff = evaluate_expr(ast.lhs, env, ctx) - evaluate_expr(ast.rhs, env, ctx)
+            diff = evaluate_expr(ast.lhs, env, tables) - evaluate_expr(ast.rhs, env, tables)
         except DslEvalError as exc:
             return Verdict("error", ast.source, at=n, message=str(exc))
         except RecursionError:
@@ -668,8 +642,20 @@ def check_identity(ast: Identity, ctx: TableContext, max_n: Optional[int] = None
     return Verdict("pass", ast.source)
 
 
-def check_corpus(text: str, ctx: TableContext, max_n: Optional[int] = None) -> list[Verdict]:
-    """One verdict per identity line; parse failures become error verdicts."""
+def check_identity(ast: Identity, max_n: Optional[int] = None) -> Verdict:
+    """Exact check over the declared range, optionally capped at max_n."""
+    try:
+        reach = _reach(ast, max_n)
+    except RecursionError:
+        return Verdict("error", ast.source, message=TOO_DEEP)
+    return _check(ast, max_n, _chain_through(reach))
+
+
+def check_corpus(text: str, max_n: Optional[int] = None) -> list[Verdict]:
+    """One verdict per identity line; parse failures become error verdicts.
+
+    Every line reads one TableChain, through the largest index any line asks for.
+    """
     parsed = []                    # an Identity, or the error verdict of its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -680,11 +666,12 @@ def check_corpus(text: str, ctx: TableContext, max_n: Optional[int] = None) -> l
         except DslParseError as exc:
             parsed.append(Verdict("error", stripped, message=str(exc),
                                   location=(exc.line, exc.column)))
-    for item in parsed:
+    reach = -1
+    for i, item in enumerate(parsed):
         if isinstance(item, Identity):
             try:
-                ctx.max_index = max(ctx.max_index, _reach(item, max_n))
+                reach = max(reach, _reach(item, max_n))
             except RecursionError:
-                pass               # check_identity gives the line its error verdict
-    return [item if isinstance(item, Verdict) else check_identity(item, ctx, max_n=max_n)
-            for item in parsed]
+                parsed[i] = Verdict("error", item.source, message=TOO_DEEP)
+    tables = _chain_through(reach)
+    return [item if isinstance(item, Verdict) else _check(item, max_n, tables) for item in parsed]

@@ -37,8 +37,15 @@ def _require_odd_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
+def _require_base(p: int) -> None:
+    # p = 1 or -1 divides every integer, so a valuation loop would never end
+    if p < 2:
+        raise ValueError(f"p must be at least 2, got {p}")
+
+
 def vp_int(n: int, p: int) -> int:
     """Exponent of p in a nonzero integer."""
+    _require_base(p)
     if n == 0:
         raise ValueError("valuation of zero is undefined")
     v = 0
@@ -57,6 +64,7 @@ def vp_fraction(r: Fraction, p: int) -> int:
 
 def is_admissible_weight(w: Fraction, p: int) -> bool:
     """|1-w|_p < 1, i.e. v_p(1-w) >= 1; w = 1 counts (deviation exactly 0)."""
+    _require_base(p)
     diff = 1 - Fraction(w)
     return diff == 0 or vp_fraction(diff, p) >= 1
 

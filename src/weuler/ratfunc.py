@@ -132,7 +132,8 @@ class Polynomial:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a polynomial of degree <= 0 equals its constant, so hashes as it
+        return hash(self.coeffs if len(self.coeffs) > 1 else self.leading)
 
     def _promote(self, other) -> "Polynomial":
         """`other` over this field: a polynomial in the same variable, else a constant."""
@@ -577,7 +578,8 @@ class WRational:
         return self.num.coeffs == other.num.coeffs and self.den.coeffs == other.den.coeffs
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        # a polynomial in w equals its numerator (a constant, its Fraction)
+        return hash(self.num) if self.den.is_one() else hash((self.num.coeffs, self.den.coeffs))
 
     # -- field operations ----------------------------------------------
 

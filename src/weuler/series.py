@@ -75,6 +75,8 @@ class Series:
     # -- accessors --------------------------------------------------------
 
     def coefficient(self, k: int):
+        if k < 0:
+            raise ValueError(f"coefficient index must be nonnegative, got {k}")
         if k >= self.precision:
             raise ValueError(f"coefficient {k} beyond precision {self.precision}")
         return self.coeffs[k]
@@ -95,6 +97,8 @@ class Series:
         return None
 
     def truncate(self, precision: int) -> "Series":
+        if precision < 1:
+            raise ValueError("precision must be at least 1")
         if precision > self.precision:
             raise ValueError(f"cannot extend precision {self.precision} to {precision}")
         if precision == self.precision:

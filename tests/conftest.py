@@ -27,7 +27,7 @@ def series_ops(monkeypatch):
 
 @pytest.fixture
 def dsl_chains(monkeypatch):
-    """Every TableChain a TableContext makes from here on; each has the set of orders read."""
+    """Every TableChain the .uid checker makes from here on; each has the set of orders read."""
     from weuler import dsl
 
     chains = []

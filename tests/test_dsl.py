@@ -12,7 +12,6 @@ from weuler.dsl import (
     Chain,
     DslParseError,
     Identity,
-    TableContext,
     check_corpus,
     check_identity,
     parse_identity,
@@ -27,11 +26,6 @@ REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 DEEP_PARENS = "forall n in 0..2 : " + "(" * 400 + "E(n)" + ")" * 400 + " = E(n)"
 LONG_SUM = "forall n in 0..2 : " + " + ".join(["E(n)"] * 3000) + " = 3000*E(n)"
 WRONG_LONG_SUM = LONG_SUM.replace("3000*", "2999*")
-
-
-@pytest.fixture(scope="module")
-def ctx():
-    return TableContext()
 
 
 class TestTokenizer:
@@ -51,13 +45,13 @@ class TestTokenizer:
         assert [(t.kind, t.text, t.line, t.column) for t in toks] == [
             ("int", "1", 1, 1), ("int", "2", 2, 1), ("end", "", 2, 2)]
 
-    def test_identity_continues_after_a_comment(self, ctx):
+    def test_identity_continues_after_a_comment(self):
         assert parse_identity("forall n in 0..2 : x # c\n = w").rhs == parse_identity(
             "forall n in 0..2 : x = w").rhs
         ast = parse_identity("forall n in 0..2 : w*E(n, x + 1) # the shifted term\n"
                              "  + E(n, x) = 2*x^n # reflection")
         assert ast == parse_identity(REFLECTION.replace("0..8", "0..2"))
-        assert check_identity(ast, ctx).status == "pass"
+        assert check_identity(ast).status == "pass"
 
     def test_bad_character(self):
         with pytest.raises(DslParseError) as err:
@@ -147,8 +141,7 @@ class TestParser:
     def test_literal_fraction_folding(self):
         # INT/INT folds into a single rational literal, so both sides agree
         ast = parse_identity("forall n in 0..2 : 1/2*x + 1/2*x = x")
-        ctx = TableContext()
-        assert check_identity(ast, ctx).status == "pass"
+        assert check_identity(ast).status == "pass"
 
     def test_source_not_compared(self):
         a = parse_identity("forall n in 0..2 : x = x")
@@ -180,23 +173,23 @@ class TestParser:
         assert (err.value.line, err.value.column) == (7, 1)
         assert TOO_DEEP in str(err.value)
 
-    def test_multiline_corpus_positions(self, ctx):
+    def test_multiline_corpus_positions(self):
         corpus = "# header\n\nforall n in 0..2 : x = x\nforall n in 0..2 : x +\n"
-        verdicts = check_corpus(corpus, ctx)
+        verdicts = check_corpus(corpus)
         errs = [v for v in verdicts if v.status == "error"]
         assert len(errs) == 1
         assert errs[0].location == (4, 23)
 
 
 class TestEvaluation:
-    def test_reflection_passes(self, ctx):
-        v = check_identity(parse_identity(REFLECTION), ctx)
+    def test_reflection_passes(self):
+        v = check_identity(parse_identity(REFLECTION))
         assert v.status == "pass"
         assert v.render_text() == f"PASS  {REFLECTION}"
 
-    def test_corrupted_rhs_fails_at_zero(self, ctx):
+    def test_corrupted_rhs_fails_at_zero(self):
         v = check_identity(
-            parse_identity("forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1"), ctx
+            parse_identity("forall n in 0..4 : w*E(n, x + 1) + E(n, x) = 2*x^n + 1")
         )
         assert v.status == "fail"
         assert v.at == 0 and v.difference == "-1"
@@ -207,10 +200,10 @@ class TestEvaluation:
             "difference": "-1",
         }
 
-    def test_first_failing_index_reported(self, ctx):
+    def test_first_failing_index_reported(self):
         # binom(n, 2) vanishes for n < 2, so the first break is at n = 2
         v = check_identity(
-            parse_identity("forall n in 0..5 : x^n = x^n + binom(n, 2)*x"), ctx
+            parse_identity("forall n in 0..5 : x^n = x^n + binom(n, 2)*x")
         )
         assert v.status == "fail" and v.at == 2
 
@@ -219,111 +212,121 @@ class TestEvaluation:
         with pytest.raises(DslParseError, match="only valid inside"):
             parse_identity("forall n in 0..5 : n*x = n*x")
 
-    def test_order_k_and_sum(self, ctx):
+    def test_order_k_and_sum(self):
         v = check_identity(
             parse_identity("forall n in 0..6 : Ek(2, n) = sum(i = 0..n, binom(n, i)*E(i)*E(n - i))"),
-            ctx,
         )
         assert v.status == "pass"
 
-    def test_negative_index_is_an_eval_error(self, ctx):
-        v = check_identity(parse_identity("forall n in 0..6 : E(n - 9) = x"), ctx)
+    def test_negative_index_is_an_eval_error(self):
+        v = check_identity(parse_identity("forall n in 0..6 : E(n - 9) = x"))
         assert v.status == "error"
         assert "negative index n - 9 = -9 at n=0" in v.message
         assert v.location is None
 
-    def test_max_n_clamp(self, ctx):
+    def test_max_n_clamp(self):
         # range reaches 10^6 but the clamp keeps the check finite
         ast = parse_identity("forall n in 0..1000000 : w*E(n, x + 1) + E(n, x) = 2*x^n")
-        v = check_identity(ast, ctx, max_n=5)
+        v = check_identity(ast, max_n=5)
         assert v.status == "pass"
 
     @pytest.mark.parametrize("max_n, status", [(3, "error"), (4, "error"), (5, "fail")])
-    def test_range_the_cap_leaves_empty_is_an_error(self, max_n, status):
+    def test_range_the_cap_leaves_empty_is_an_error(self, max_n, status, dsl_chains):
         # E(n) = 0 is false at every n; a cap below the range checks nothing,
         # which must not read as a proof
         ast = parse_identity("forall n in 5..8 : E(n) = 0")
-        empty = TableContext()
-        v = check_identity(ast, empty, max_n=max_n)
+        v = check_identity(ast, max_n=max_n)
         assert v.status == status
         if status == "error":
             assert v.message == f"range 5..8 capped at max_n={max_n} checks no index"
             assert v.at is None and v.location is None
-            assert empty.chain is None
+            assert dsl_chains == []
         else:
             assert v.at == 5
 
-    def test_tables_grow_on_demand(self):
-        growing = TableContext()
-        for hi, count in ((3, 4), (6, 7)):
-            v = check_identity(parse_identity(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)"), growing)
+    def test_each_check_builds_the_chain_it_needs(self, dsl_chains):
+        for hi in (3, 6):
+            v = check_identity(parse_identity(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)"))
             assert v.status == "pass"
-            assert growing.chain.count == count
+        assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(4, [2]), (7, [2])]
 
-    def test_an_index_past_the_chain_rebuilds_it_for_every_order(self, dsl_chains):
-        ctx = TableContext()
+    def test_a_check_builds_only_the_orders_it_reads(self, dsl_chains):
         for text in ("forall n in 0..3 : Ek(3, n) = Ek(3, n)",
                      "forall n in 0..5 : E(n) + Ek(2, n) = Ek(2, n) + E(n)"):
-            assert check_identity(parse_identity(text), ctx).status == "pass"
+            assert check_identity(parse_identity(text)).status == "pass"
         assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(4, [3]), (6, [1, 2])]
+
+    def test_a_line_without_tables_makes_no_series_operation(self, series_ops, dsl_chains):
+        text = "forall n in 0..6 : (1 + x)^n = sum(i = 0..n, binom(n, i)*x^i)"
+        assert check_identity(parse_identity(text)).status == "pass"
+        assert [v.status for v in check_corpus(text + "\n")] == ["pass"]
+        assert series_ops == {"inverse": 0, "mul": 0}
+        assert dsl_chains == []
 
 
 class TestCorpus:
-    def test_shipped_corpus_passes(self, ctx):
+    def test_shipped_corpus_passes(self):
         text = (
             importlib.resources.files("weuler")
             .joinpath("corpus/paper.uid")
             .read_text(encoding="utf-8")
         )
-        verdicts = check_corpus(text, ctx)
+        verdicts = check_corpus(text)
         assert len(verdicts) == 7
         assert all(v.status == "pass" for v in verdicts)
 
-    def test_blank_lines_and_comments_skipped(self, ctx):
-        verdicts = check_corpus("\n# only a comment\n\n", ctx)
+    def test_blank_lines_and_comments_skipped(self):
+        verdicts = check_corpus("\n# only a comment\n\n")
         assert verdicts == []
 
-    def test_mixed_verdicts_keep_order(self, ctx):
+    def test_mixed_verdicts_keep_order(self):
         corpus = (
             "forall n in 0..2 : x = x\n"
             "forall n in 0..2 : x = x + 1\n"
             "forall n in 0..2 : E(n -\n"
         )
-        verdicts = check_corpus(corpus, ctx)
+        verdicts = check_corpus(corpus)
         assert [v.status for v in verdicts] == ["pass", "fail", "error"]
         assert verdicts[2].location == (3, 25)
 
-    def test_bad_literals_are_error_verdicts(self, ctx):
+    def test_bad_literals_are_error_verdicts(self):
         corpus = ("forall n in 0..2 : E(n) = E(n)\n"
                   "forall n in 0..2 : ² = x\n"
                   "forall n in 0..2 : x = " + "9" * 5000 + "\n"
                   "forall n in 0..2 : x = x + 1\n")
-        verdicts = check_corpus(corpus, ctx)
+        verdicts = check_corpus(corpus)
         assert [v.status for v in verdicts] == ["pass", "error", "error", "fail"]
         assert verdicts[1].location == (2, 20)
         assert verdicts[1].message == "syntax error at 2:20, unexpected character '²'"
         assert verdicts[2].location == (3, 24)
         assert verdicts[2].message.endswith("integer literal of 5000 digits is too long")
 
-    def test_over_deep_lines_are_errors(self, ctx):
+    def test_over_deep_lines_are_errors(self):
         corpus = "\n".join(["forall n in 0..2 : E(n) = E(n)", DEEP_PARENS, LONG_SUM,
                             WRONG_LONG_SUM])
-        verdicts = check_corpus(corpus, ctx)
+        verdicts = check_corpus(corpus)
         assert [v.status for v in verdicts] == ["pass", "error", "pass", "fail"]
         assert verdicts[1].location == (2, 1) and TOO_DEEP in verdicts[1].message
         assert verdicts[3].at == 0
 
-    def test_check_identity_decides_a_long_sum(self, ctx):
-        verdict = check_identity(parse_identity(LONG_SUM), ctx)
+    def test_check_identity_decides_a_long_sum(self):
+        verdict = check_identity(parse_identity(LONG_SUM))
         assert verdict.status == "pass"
-        verdict = check_identity(parse_identity(WRONG_LONG_SUM), ctx)
+        verdict = check_identity(parse_identity(WRONG_LONG_SUM))
         assert (verdict.status, verdict.at, verdict.difference) == ("fail", 0, "2/(1 + w)")
 
     def test_ascending_ranges_build_each_order_once(self, dsl_chains):
         corpus = "".join(f"forall n in 0..{hi} : Ek(2, n) = Ek(2, n)\n" for hi in (3, 6, 8))
-        verdicts = check_corpus(corpus, TableContext(), max_n=7)
+        verdicts = check_corpus(corpus, max_n=7)
         assert [v.status for v in verdicts] == ["pass"] * 3
         assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(8, [2])]
+
+    def test_ranges_up_then_down_build_one_chain(self, dsl_chains):
+        corpus = "".join(f"forall n in 0..{hi} : E(n) + Ek(2, n) = Ek(2, n) + E(n)\n"
+                         for hi in (3, 8, 2))
+        verdicts = check_corpus(corpus)
+        assert [v.status for v in verdicts] == ["pass"] * 3
+        assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(9, [1, 2])]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,16 @@ class TestValuations:
         with pytest.raises(ValueError, match="valuation of zero"):
             vp_fraction(Fraction(0), 5)
 
+    @pytest.mark.parametrize("p", [1, -1, 0, -3])
+    def test_base_below_two_rejected(self, p):
+        # 1 and -1 divide every integer, and 0 divides none: each must stop
+        # at once rather than loop or divide by zero
+        for call in (lambda: vp_int(5, p), lambda: vp_fraction(Fraction(5, 3), p),
+                     lambda: is_admissible_weight(Fraction(4), p),
+                     lambda: is_admissible_weight(Fraction(1), p)):
+            with pytest.raises(ValueError, match=f"p must be at least 2, got {p}"):
+                call()
+
     @given(
         st.fractions(max_denominator=50).filter(lambda r: r != 0),
         st.fractions(max_denominator=50).filter(lambda r: r != 0),

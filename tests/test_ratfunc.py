@@ -11,6 +11,7 @@ from weuler.ratfunc import (
     QQ,
     QW,
     W,
+    Polynomial,
     WPolynomial,
     WRational,
     binary_power,
@@ -66,6 +67,35 @@ class TestCanonicalForm:
     def test_zero_normalizes(self):
         assert (W - W).is_zero()
         assert str(W - W) == "0"
+
+    def test_constants_hash_as_their_value(self):
+        assert len({WRational(3), 3}) == 1
+        assert {3: "three"}.get(WRational(3)) == "three"
+        assert hash(Polynomial(QQ, [1, 2])) == hash(Polynomial(QW, [1, 2]))
+        assert hash(Polynomial(QW, [])) == hash(Polynomial(QQ, [])) == hash(0)
+
+    @staticmethod
+    def equal_forms(value) -> list:
+        """value as each type that can equal it."""
+        r = WRational.promote(value)
+        forms = [value, r, Polynomial(QW, [r])]
+        if r.is_polynomial():
+            forms.append(r.num)                        # a polynomial in w over Q
+            if r.num.degree <= 0:
+                c = QQ.of(r)
+                forms += [c, Polynomial(QQ, [c]), Polynomial(QQ, [c, 1]), Polynomial(QW, [c, 1])]
+                if c.denominator == 1:
+                    forms.append(int(c))
+        return forms
+
+    @given(st.lists(st.one_of(rationals(), small_fracs, st.integers(-3, 3)), min_size=2, max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_equal_values_hash_alike(self, values):
+        forms = [f for v in values for f in self.equal_forms(v)]
+        for a in forms:
+            for b in forms:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
 
 
 def wpoly(*coeffs):

@@ -31,6 +31,8 @@ class TestBasics:
         assert f.coefficient(2) == 3
         with pytest.raises(ValueError, match="beyond precision"):
             f.coefficient(17)
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            f.coefficient(-1)
         assert f.order() == 2
         assert Series.zero(QQ, 5).order() is None
         assert Series.one(QQ, 5).order() == 0
@@ -44,6 +46,9 @@ class TestBasics:
         f = S([1, 2, 3, 4])
         g = f.truncate(2)
         assert g.precision == 2 and list(g.coeffs) == [1, 2]
+        for precision in (0, -1):
+            with pytest.raises(ValueError, match="precision must be at least 1"):
+                f.truncate(precision)
 
     def test_add_sub_scale(self):
         f, g = S([1, 2, 3]), S([0, 1, 1])

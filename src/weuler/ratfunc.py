@@ -93,6 +93,8 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, field, n: int, coeff=1) -> "Polynomial":
+        if n < 0:
+            raise ValueError(f"monomial exponent must be nonnegative, got {n}")
         return cls(field, [field.zero] * n + [coeff])
 
     @classmethod
@@ -169,13 +171,11 @@ class Polynomial:
         a, b = self.coeffs, self._promote(other).coeffs
         if not a or not b:
             return self._new([])
-        out = [self.field.zero] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b, i):
-                    if cb:
-                        out[j] += ca * cb
-        return self._new(out)
+        # coefficient k is one field.dot of a_lo, a_lo+1, ... with b_(k-lo),
+        # b_(k-lo-1), ..., where lo = max(0, k - last)
+        dot, rb, last = self.field.dot, b[::-1], len(b) - 1
+        return self._new([dot(a[max(0, k - last):k + 1], rb[max(0, last - k):])
+                          for k in range(len(a) + last)])
 
     def scale(self, c) -> "Polynomial":
         c = self.field.of(c)
@@ -840,10 +840,15 @@ class WRationalField:
 
     @staticmethod
     def dot(xs, ys) -> WRational:
-        """sum x*y, added left to right; a zero x is skipped."""
+        """sum x*y, added left to right from zero.
+
+        A term whose x or y is zero is skipped, so each coefficient of a
+        polynomial product takes the same WRational products and adds, in
+        the same order, as in the double loop that skips zero coefficients.
+        """
         acc = WRationalField.zero
         for x, y in zip(xs, ys):
-            if x:
+            if x and y:
                 acc = acc + x * y
         return acc
 

@@ -67,6 +67,8 @@ class Series:
 
     @classmethod
     def monomial(cls, field, k: int, precision: int) -> "Series":
+        if k < 0:
+            raise ValueError(f"monomial exponent must be nonnegative, got {k}")
         coeffs = [field.zero] * min(k, precision)
         if k < precision:
             coeffs.append(field.one)
@@ -165,6 +167,8 @@ class Series:
 
     def mul_tk(self, k: int) -> "Series":
         """Multiply by t^k (exact shift; precision is preserved)."""
+        if k < 0:
+            raise ValueError(f"shift must be nonnegative, got {k}")
         if k == 0:
             return self
         coeffs = [self.field.zero] * k + list(self.coeffs[: self.precision - k])

@@ -1,6 +1,7 @@
 """Unit tests for exact rational-function arithmetic over Q(w)."""
 
 import operator
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,11 @@ class TestPolynomialHelpers:
         q, r = a.divmod(WPolynomial(QQ, (frac(1), frac(1)), "w"))
         assert str(q) == "w - 1" and r.is_zero()
 
+    def test_monomial_rejects_a_negative_exponent(self):
+        assert Polynomial.monomial(QQ, 2, frac(3)).coeffs == (0, 0, 3)
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            Polynomial.monomial(QQ, -1)
+
     def test_binary_power_product_order(self):
         # words concatenate, so each product is logged by its two factors;
         # the last squaring is made even though its result is not used
@@ -436,3 +442,79 @@ class TestDot:
         half = field.of(frac(1, 2))
         assert field.dot([half, half], [field.of(3), field.of(-3)]) == field.zero
         assert field.dot([field.zero, half], [field.of(5), field.of(4)]) == field.of(2)
+
+
+def schoolbook(p, q):
+    """p * q by the double loop: zero coefficients skipped, terms added by ascending i."""
+    a, b = p.coeffs, q.coeffs
+    out = [p.field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                if cb:
+                    out[j] += ca * cb
+    return Polynomial(p.field, out, p.var)
+
+
+def product_operands():
+    """(field, xs, ys): coefficient lists with zeros, empty lists and constants among them."""
+    def lists(field):
+        scalars = st.one_of(st.just(0), TestOnePolynomialType.scalars(field)).map(field.of)
+        return st.lists(scalars, max_size=6)
+
+    return st.sampled_from([QQ, QW]).flatmap(
+        lambda field: st.tuples(st.just(field), lists(field), lists(field)))
+
+
+class TestPolynomialProduct:
+    """Polynomial.__mul__ sums each coefficient through field.dot; it agrees with the double loop."""
+
+    @given(product_operands())
+    @example((QQ, [], [frac(1)]))
+    @example((QQ, [frac(2)], [frac(1), frac(0), frac(-3)]))
+    @example((QQ, [frac(1), frac(0), frac(0), frac(1, 2)], [frac(0), frac(3)]))
+    @example((QW, [ONE], []))
+    @example((QW, [W, ZERO, ONE / (W + ONE)], [ZERO, W - ONE]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_schoolbook(self, operands):
+        field, xs, ys = operands
+        element_type = Fraction if field is QQ else WRational
+        for var in ("x", "w") if field is QQ else ("x",):
+            p, q = Polynomial(field, xs, var), Polynomial(field, ys, var)
+            for left, right in ((p, q), (q, p)):
+                got, want = left * right, schoolbook(left, right)
+                assert got.var == var and got.field is field
+                assert got.coeffs == want.coeffs     # canonical forms, so structural
+                assert all(type(c) is element_type for c in got.coeffs)
+                assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([W, ZERO, ONE / (W + ONE), ZERO, QW.of(3)], [ZERO, W - ONE, ZERO, QW.of(frac(1, 2))]),
+        ([ZERO, ZERO, W], [W + ONE, ZERO, ZERO, ONE]),
+        ([QW.of(2)], [ZERO, W, ZERO]),
+    ])
+    def test_makes_the_schoolbook_wrational_operations(self, monkeypatch, xs, ys):
+        # x-polynomials over Q(w), as the check command multiplies them, make
+        # the same adds and products on the same operands.  The double loop
+        # interleaves the coefficients, so the calls are compared as a
+        # multiset; an add's left operand is its coefficient's running sum,
+        # so each coefficient's chain of adds matches too.
+        log = []
+
+        def logged(name, fn):
+            def op(self, other):
+                log.append((name, self.num.coeffs, self.den.coeffs, other.num.coeffs, other.den.coeffs))
+                return fn(self, other)
+            return op
+
+        monkeypatch.setattr(WRational, "__add__", logged("add", WRational.__add__))
+        monkeypatch.setattr(WRational, "__mul__", logged("mul", WRational.__mul__))
+        p, q = Polynomial(QW, xs), Polynomial(QW, ys)
+        for left, right in ((p, q), (q, p)):
+            del log[:]
+            want = schoolbook(left, right)
+            want_log = list(log)
+            del log[:]
+            got = left * right
+            assert got.coeffs == want.coeffs
+            assert want_log and Counter(log) == Counter(want_log)

@@ -50,6 +50,19 @@ class TestBasics:
             with pytest.raises(ValueError, match="precision must be at least 1"):
                 f.truncate(precision)
 
+    def test_monomial_rejects_a_negative_exponent(self):
+        assert list(Series.monomial(QQ, 2, 4).coeffs) == [0, 0, 1, 0]
+        assert list(Series.monomial(QQ, 5, 4).coeffs) == [0, 0, 0, 0]
+        with pytest.raises(ValueError, match="must be nonnegative, got -2"):
+            Series.monomial(QQ, -2, 4)
+
+    def test_mul_tk_rejects_a_negative_shift(self):
+        f = S([1, 2, 3])
+        assert list(f.mul_tk(1).coeffs) == [0, 1, 2]
+        assert f.mul_tk(0) is f
+        with pytest.raises(ValueError, match="must be nonnegative, got -1"):
+            f.mul_tk(-1)
+
     def test_add_sub_scale(self):
         f, g = S([1, 2, 3]), S([0, 1, 1])
         assert list((f + g).coeffs) == [1, 3, 4]

@@ -49,6 +49,17 @@ def binary_power(base, n: int, one):
 # ---------------------------------------------------------------------------
 # Dense polynomials over a coefficient field
 
+# A polynomial product of at least this many coefficient products
+# (len(a) * len(b)) sums each coefficient through field.dot; a smaller one
+# adds term by term in a double loop.  Both take the same products in the
+# same order.  Over Q, dot takes about the loop's time when one operand is
+# a constant, about 0.6x of it at 2 x 8 coefficients and 0.2x at 32 x 32
+# (BENCH_16.json).  The cutoff sits above every product of `check paper.uid
+# --max-n 10` (at most 9 x 10), so that command keeps its work until the
+# benchmark can time commands shorter than its speed monitor's first unit
+# (ROADMAP item 1).
+DOT_MIN_PRODUCTS = 100
+
 
 def _strip(coeffs: list) -> tuple:
     while coeffs and not coeffs[-1]:
@@ -171,6 +182,14 @@ class Polynomial:
         a, b = self.coeffs, self._promote(other).coeffs
         if not a or not b:
             return self._new([])
+        if len(a) * len(b) < DOT_MIN_PRODUCTS:
+            out = [self.field.zero] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b, i):
+                        if cb:
+                            out[j] += ca * cb
+            return self._new(out)
         # coefficient k is one field.dot of a_lo, a_lo+1, ... with b_(k-lo),
         # b_(k-lo-1), ..., where lo = max(0, k - last)
         dot, rb, last = self.field.dot, b[::-1], len(b) - 1
@@ -842,9 +861,9 @@ class WRationalField:
     def dot(xs, ys) -> WRational:
         """sum x*y, added left to right from zero.
 
-        A term whose x or y is zero is skipped, so each coefficient of a
-        polynomial product takes the same WRational products and adds, in
-        the same order, as in the double loop that skips zero coefficients.
+        A term whose x or y is zero is skipped, so a polynomial product
+        makes the same WRational products and adds on either side of
+        DOT_MIN_PRODUCTS.
         """
         acc = WRationalField.zero
         for x, y in zip(xs, ys):

@@ -1,5 +1,6 @@
 """Unit tests for exact rational-function arithmetic over Q(w)."""
 
+import importlib.resources
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -8,6 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weuler import ratfunc
+from weuler.dsl import check_corpus
+from weuler.euler import EulerTable
 from weuler.ratfunc import (
     QQ,
     QW,
@@ -466,15 +470,31 @@ def product_operands():
         lambda field: st.tuples(st.just(field), lists(field), lists(field)))
 
 
+def sparse(field, n, step=3):
+    """n coefficients, every `step`-th zero, the rest small distinct nonzero values."""
+    if field is QQ:
+        return [frac(0) if i % step == 1 else frac(i - 4, i % 4 + 1) for i in range(n)]
+    return [ZERO if i % step == 1 else (W - frac(i)) / (W + ONE) ** (i % 2) for i in range(n)]
+
+
+# Each product is taken at the module's cutoff and with every product on
+# field.dot (cutoff 0), so both paths are compared with the double loop.
+CUTOFFS = (ratfunc.DOT_MIN_PRODUCTS, 0)
+
+
 class TestPolynomialProduct:
-    """Polynomial.__mul__ sums each coefficient through field.dot; it agrees with the double loop."""
+    """Polynomial.__mul__ agrees with the double loop on either side of DOT_MIN_PRODUCTS."""
 
     @given(product_operands())
     @example((QQ, [], [frac(1)]))
     @example((QQ, [frac(2)], [frac(1), frac(0), frac(-3)]))
     @example((QQ, [frac(1), frac(0), frac(0), frac(1, 2)], [frac(0), frac(3)]))
+    @example((QQ, sparse(QQ, 10), sparse(QQ, 10)))
+    @example((QQ, sparse(QQ, 1), sparse(QQ, 120)))
+    @example((QQ, sparse(QQ, 9), sparse(QQ, 11)))
     @example((QW, [ONE], []))
     @example((QW, [W, ZERO, ONE / (W + ONE)], [ZERO, W - ONE]))
+    @example((QW, sparse(QW, 12), sparse(QW, 9)))
     @settings(max_examples=150, deadline=None)
     def test_matches_schoolbook(self, operands):
         field, xs, ys = operands
@@ -482,18 +502,24 @@ class TestPolynomialProduct:
         for var in ("x", "w") if field is QQ else ("x",):
             p, q = Polynomial(field, xs, var), Polynomial(field, ys, var)
             for left, right in ((p, q), (q, p)):
-                got, want = left * right, schoolbook(left, right)
-                assert got.var == var and got.field is field
-                assert got.coeffs == want.coeffs     # canonical forms, so structural
-                assert all(type(c) is element_type for c in got.coeffs)
-                assert hash(got) == hash(want)
+                want = schoolbook(left, right)
+                for cutoff in CUTOFFS:
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(ratfunc, "DOT_MIN_PRODUCTS", cutoff)
+                        got = left * right
+                    assert got.var == var and got.field is field
+                    assert got.coeffs == want.coeffs     # canonical forms, so structural
+                    assert all(type(c) is element_type for c in got.coeffs)
+                    assert hash(got) == hash(want)
 
+    @pytest.mark.parametrize("cutoff", CUTOFFS)
     @pytest.mark.parametrize("xs, ys", [
         ([W, ZERO, ONE / (W + ONE), ZERO, QW.of(3)], [ZERO, W - ONE, ZERO, QW.of(frac(1, 2))]),
         ([ZERO, ZERO, W], [W + ONE, ZERO, ZERO, ONE]),
         ([QW.of(2)], [ZERO, W, ZERO]),
+        (sparse(QW, 10), sparse(QW, 10, step=2)),
     ])
-    def test_makes_the_schoolbook_wrational_operations(self, monkeypatch, xs, ys):
+    def test_makes_the_schoolbook_wrational_operations(self, monkeypatch, cutoff, xs, ys):
         # x-polynomials over Q(w), as the check command multiplies them, make
         # the same adds and products on the same operands.  The double loop
         # interleaves the coefficients, so the calls are compared as a
@@ -507,6 +533,7 @@ class TestPolynomialProduct:
                 return fn(self, other)
             return op
 
+        monkeypatch.setattr(ratfunc, "DOT_MIN_PRODUCTS", cutoff)
         monkeypatch.setattr(WRational, "__add__", logged("add", WRational.__add__))
         monkeypatch.setattr(WRational, "__mul__", logged("mul", WRational.__mul__))
         p, q = Polynomial(QW, xs), Polynomial(QW, ys)
@@ -518,3 +545,23 @@ class TestPolynomialProduct:
             got = left * right
             assert got.coeffs == want.coeffs
             assert want_log and Counter(log) == Counter(want_log)
+
+    def test_check_products_stay_below_the_cutoff(self, monkeypatch):
+        # the cutoff keeps every product of `check paper.uid --max-n 10` on
+        # the double loop (ROADMAP item 1); the symbolic tables reach above it
+        sizes = []
+        mul = Polynomial.__mul__
+
+        def sized(self, other):
+            if isinstance(other, Polynomial):
+                sizes.append(len(self.coeffs) * len(other.coeffs))
+            return mul(self, other)
+
+        monkeypatch.setattr(Polynomial, "__mul__", sized)
+        text = importlib.resources.files("weuler").joinpath("corpus/paper.uid").read_text(
+            encoding="utf-8")
+        assert all(v.status == "pass" for v in check_corpus(text, max_n=10))
+        assert sizes and max(sizes) < ratfunc.DOT_MIN_PRODUCTS
+        del sizes[:]
+        EulerTable.build(16)
+        assert max(sizes) >= ratfunc.DOT_MIN_PRODUCTS

@@ -2,14 +2,18 @@
 
 One identity per line: `forall n in 0..8 : expr = expr`, with nodes for
 literals, w, x, Ek(order, index[, x+shift]) and its order-1 form E(...),
-binom(i, j), sum(i = lo..hi, body), +, -, * and ^.  A sum or a product is
+binom(i, j), sum(i = lo..hi, body), +, -, *, / and ^.  A sum or a product is
 one node, a `Chain` of its first operand and its (operator, operand) steps,
 so a sum of thousands of terms is parsed, evaluated, rendered, compared and
 hashed in a loop.  Index expressions are integer-linear in the bound
-variables; there is no division operator (rational constants are written as
-literals like 1/2).  Both sides evaluate to polynomials in x over Q(w) and
+variables.  An int/int pair that opens an operand is one rational literal,
+so 1/2^n is (1/2)^n; a literal right after `/` is not folded, so w/1/2 is
+w/2.  A divisor must evaluate to a nonzero element of Q(w), free of x.  A
+leading `-` before a literal makes a negative literal, before anything else
+a product with -1.  Both sides evaluate to polynomials in x over Q(w) and
 are compared in canonical form; a check reads the Euler tables of every
-order from one euler.TableChain of its own.
+order from one euler.TableChain of its own.  `parse_value` reads one
+expression without E or Ek, such as a number or polynomial the CLI prints.
 """
 
 from __future__ import annotations
@@ -202,7 +206,7 @@ class Chain:
     """first op1 a1 op2 a2 ...: a sum or a product, applied left to right."""
 
     first: object
-    steps: tuple                   # ((op, operand), ...), all "+"/"-" or all "*"
+    steps: tuple                   # ((op, operand), ...), all "+"/"-" or all "*"/"/"
 
 
 @dataclass(frozen=True)
@@ -221,8 +225,14 @@ class Identity:
     source: str = field(compare=False, default="")
 
 
-# operator -> (precedence, function); ^ binds tighter than all three
-_OPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
+def _divide(num: Polynomial, den: Polynomial) -> Polynomial:
+    """num / den for a den that evaluate_expr has checked is a nonzero constant."""
+    return num.scale(QW.one / den.leading)
+
+
+# operator -> (precedence, function); ^ binds tighter than all four
+_OPS = {"+": (1, operator.add), "-": (1, operator.sub),
+        "*": (2, operator.mul), "/": (2, _divide)}
 
 
 def _precedence(node) -> int:
@@ -248,11 +258,14 @@ def render_expr(node) -> str:
         prec = _precedence(node)
         first = render_expr(node.first)
         parts = [f"({first})" if _precedence(node.first) < prec else first]
+        previous = node.first
         for op, operand in node.steps:
             text = render_expr(operand)
-            if _precedence(operand) <= prec:
+            if (_precedence(operand) <= prec
+                    or op == "/" and _divisor_needs_parens(previous, operand, text)):
                 text = f"({text})"
-            parts.append(f"*{text}" if op == "*" else f" {op} {text}")
+            parts.append(f" {op} {text}" if prec == 1 else f"{op}{text}")
+            previous = operand if op == "*" else None
         return "".join(parts)
     if isinstance(node, PowExpr):
         base = render_expr(node.base)
@@ -266,6 +279,17 @@ def render_expr(node) -> str:
             text = f"({text})"
         return f"{base}^{text}"
     return node.render()
+
+
+def _divisor_needs_parens(previous, divisor, text: str) -> bool:
+    """Whether `divisor`, written bare after `/`, would parse as something
+    else: a fractional or negative literal (w/3/4 is w/3 divided by 4), or
+    one that an integer literal opening the operand before the `/` would
+    fold (3/4 is one literal, not 3 divided by 4)."""
+    if isinstance(divisor, Lit) and not _is_tight_atom(divisor):
+        return True
+    return (isinstance(previous, Lit) and previous.value.denominator == 1
+            and text[0].isdecimal())
 
 
 def _is_tight_atom(node) -> bool:
@@ -340,10 +364,19 @@ class _Parser:
         return _chain(first, steps)
 
     def term(self):
-        first, steps = self.power(), []
-        while self.accept("*"):
-            steps.append(("*", self.power()))
+        first, steps = self.unary(), []
+        while self.current.kind in ("*", "/"):
+            op = self.current.kind
+            self.pos += 1
+            steps.append((op, self.unary()))
         return _chain(first, steps)
+
+    def unary(self):
+        # -INT is a negative literal; - before anything else multiplies it by -1
+        if self.current.kind == "-" and self.tokens[self.pos + 1].kind != "int":
+            self.pos += 1
+            return Chain(Lit(Fraction(-1)), (("*", self.unary()),))
+        return self.power()
 
     def power(self):
         base = self.atom()
@@ -409,10 +442,13 @@ class _Parser:
         raise self._fail("an expression")
 
     def literal(self) -> Lit:
+        # INT/INT folds into one literal, except right after `/`: w/1/2 is w/2
+        fold = self.pos == 0 or self.tokens[self.pos - 1].kind != "/"
         negative = bool(self.accept("-"))
         num = int(self.expect("int", "an integer").text)
-        if self.accept("/"):
-            den_tok = self.expect("int", "an integer denominator")
+        if fold and self.current.kind == "/" and self.tokens[self.pos + 1].kind == "int":
+            self.pos += 1
+            den_tok = self.expect("int")
             den = int(den_tok.text)
             if den == 0:
                 raise DslParseError("zero denominator", den_tok.line, den_tok.column)
@@ -498,15 +534,34 @@ def parse_identity(text: str, line: int = 1) -> Identity:
         raise DslParseError(TOO_DEEP, line, 1) from None
 
 
+def parse_value(text: str) -> Polynomial:
+    """The value in Q(w)[x] of one expression that reads no Euler table, such
+    as a number or polynomial the CLI prints: parse_value("2/(1 + w)")."""
+    try:
+        parser = _Parser(tokenize(text))
+        node = parser.expr()
+        parser.expect("end", "end of expression")
+        if _node_reach(node, {}) >= 0:
+            raise DslEvalError(f"{text.strip()} reads an Euler table (E or Ek);"
+                               " a value cannot")
+        return evaluate_expr(node, {}, None)
+    except RecursionError:
+        raise DslParseError(TOO_DEEP, 1, 1) from None
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
+
+
+def _at(env: dict) -> str:
+    """` at n=3, i=1` for the variables env binds; empty when it binds none."""
+    return " at " + ", ".join(f"{k}={v}" for k, v in env.items()) if env else ""
 
 
 def _index_value(idx: IndexExpr, env: dict, what: str) -> int:
     value = idx.evaluate(env)
     if value < 0:
-        bindings = ", ".join(f"{k}={v}" for k, v in env.items())
-        raise DslEvalError(f"negative {what} {idx.render()} = {value} at {bindings}")
+        raise DslEvalError(f"negative {what} {idx.render()} = {value}{_at(env)}")
     return value
 
 
@@ -542,7 +597,11 @@ def evaluate_expr(node, env: dict, tables: TableChain) -> Polynomial:
     if isinstance(node, Chain):
         acc = evaluate_expr(node.first, env, tables)
         for op, operand in node.steps:
-            acc = _OPS[op][1](acc, evaluate_expr(operand, env, tables))
+            value = evaluate_expr(operand, env, tables)
+            if op == "/" and value.degree != 0:
+                raise DslEvalError(f"divisor `{render_expr(operand)}` is {value}{_at(env)},"
+                                   " not a nonzero element of Q(w)")
+            acc = _OPS[op][1](acc, value)
         return acc
     if isinstance(node, PowExpr):
         exp = _index_value(node.exponent, env, "exponent")

@@ -450,10 +450,6 @@ class RationalField:
         return Fraction(value)
 
     @staticmethod
-    def parse(text: str) -> Fraction:
-        return Fraction(text)
-
-    @staticmethod
     def dot(xs, ys) -> Fraction:
         """sum x*y, normalised once.
 
@@ -573,10 +569,6 @@ class WRational:
         if isinstance(value, (int, Fraction)) or (isinstance(value, Polynomial) and value.var == "w"):
             return cls(value)
         raise TypeError(f"cannot promote {type(value).__name__} to WRational")
-
-    @classmethod
-    def parse(cls, text: str) -> "WRational":
-        return _parse_wrational(text)
 
     # -- predicates and accessors -------------------------------------
 
@@ -731,114 +723,6 @@ def _denominator_text(den: Polynomial) -> str:
     return f"({poly_text(den.coeffs)})"
 
 
-# ---------------------------------------------------------------------------
-# Parser for the canonical text form (round-trips everything rendered above)
-
-
-class _Tok:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind, value, pos):
-        self.kind, self.value, self.pos = kind, value, pos
-
-
-def _lex_wrational(text: str) -> list[_Tok]:
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdecimal():          # isdigit() also takes ² and ①, which int() refuses
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(_Tok("int", int(text[i:j]), i))
-            i = j
-        elif ch == "w":
-            toks.append(_Tok("w", "w", i))
-            i += 1
-        elif ch in "+-*/^()":
-            toks.append(_Tok(ch, ch, i))
-            i += 1
-        else:
-            raise ValueError(f"unexpected character {ch!r} at position {i} in {text!r}")
-    toks.append(_Tok("end", None, n))
-    return toks
-
-
-class _WRatParser:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self, kind=None):
-        t = self.toks[self.i]
-        if kind is not None and t.kind != kind:
-            raise ValueError(f"expected {kind!r}, found {t.kind!r} at position {t.pos}")
-        self.i += 1
-        return t
-
-    def expr(self) -> WRational:
-        acc = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.term()
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def term(self) -> WRational:
-        acc = self.unary()
-        while self.peek().kind in ("*", "/"):
-            op = self.take().kind
-            rhs = self.unary()
-            acc = acc * rhs if op == "*" else acc / rhs
-        return acc
-
-    def unary(self) -> WRational:
-        if self.peek().kind == "-":
-            self.take()
-            return -self.unary()
-        return self.power()
-
-    def power(self) -> WRational:
-        base = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            exp = self.take("int").value
-            return base ** exp
-        return base
-
-    def atom(self) -> WRational:
-        t = self.peek()
-        if t.kind == "int":
-            self.take()
-            return WRational(t.value)
-        if t.kind == "w":
-            self.take()
-            return W
-        if t.kind == "(":
-            self.take()
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise ValueError(f"unexpected token {t.kind!r} at position {t.pos}")
-
-
-def _parse_wrational(text: str) -> WRational:
-    parser = _WRatParser(_lex_wrational(text))
-    try:
-        out = parser.expr()
-    except RecursionError:
-        raise ValueError("expression nested too deeply") from None
-    parser.take("end")
-    return out
-
-
 W = WRational(_wpoly((Fraction(0), Fraction(1))))
 
 
@@ -852,10 +736,6 @@ class WRationalField:
     @staticmethod
     def of(value) -> WRational:
         return WRational.promote(value)
-
-    @staticmethod
-    def parse(text: str) -> WRational:
-        return WRational.parse(text)
 
     @staticmethod
     def dot(xs, ys) -> WRational:

@@ -61,11 +61,6 @@ class Series:
         return cls(field, (field.one,), precision)
 
     @classmethod
-    def identity(cls, field, precision: int) -> "Series":
-        """The series t."""
-        return cls(field, (field.zero, field.one), precision)
-
-    @classmethod
     def monomial(cls, field, k: int, precision: int) -> "Series":
         if k < 0:
             raise ValueError(f"monomial exponent must be nonnegative, got {k}")
@@ -114,11 +109,6 @@ class Series:
 
     def __hash__(self):
         return hash((self.precision, self.coeffs))
-
-    def agrees_with(self, other: "Series") -> bool:
-        """Equality through the shared known range."""
-        n = min(self.precision, other.precision)
-        return self.coeffs[:n] == other.coeffs[:n]
 
     # -- ring operations ---------------------------------------------------
 

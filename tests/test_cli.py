@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import weuler
 from weuler import padic
 from weuler.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VIOLATION, FORMATS, main
+from weuler.dsl import parse_value
 from weuler.euler import EulerTable
 from weuler.ratfunc import Polynomial
 
@@ -111,6 +113,21 @@ class TestPolys:
         ]
 
 
+@pytest.mark.parametrize("argv, order, w", [
+    (["numbers", "--max-n", "12", "--order", "2"], 2, None),
+    (["polys", "--max-n", "8", "--order", "2"], 2, None),
+    (["polys", "--max-n", "8", "--w=-3/2"], 1, Fraction(-3, 2)),
+], ids=["numbers", "polys", "polys-at-w"])
+def test_every_printed_value_parses_back(capsys, argv, order, w):
+    # each text line is `n: value`, and the value is a .uid expression
+    table = EulerTable.build(int(argv[2]), order, w=w)
+    values = table.numbers if argv[0] == "numbers" else table.polys
+    lines = run(capsys, argv).splitlines()
+    assert [line.split(": ", 1)[0] for line in lines] == [str(n) for n in range(len(values))]
+    for line, value in zip(lines, values):
+        assert parse_value(line.split(": ", 1)[1]) == value, line
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         out = run(capsys, ["verify", "--suite", "paper", "--max-n", "4", "--max-k", "1"])
@@ -163,6 +180,14 @@ class TestCheck:
         err.write_text("forall n in 0..3 : E(n - 5) = x\n")
         out = run(capsys, ["check", str(err), "--max-n", "3"], expect=EXIT_RUNTIME)
         assert "negative index" in out
+
+    def test_divisor_error_exit_code(self, capsys, tmp_path):
+        err = tmp_path / "div.uid"
+        err.write_text("forall n in 0..3 : x/x = 1\nforall n in 0..3 : w/(w - w) = 0\n")
+        out = run(capsys, ["check", str(err), "--max-n", "3"], expect=EXIT_RUNTIME)
+        assert [line.split("  ")[1] for line in out.splitlines()] == [
+            "divisor `x` is x at n=0, not a nonzero element of Q(w)",
+            "divisor `w - w` is 0 at n=0, not a nonzero element of Q(w)"]
 
     def test_over_deep_lines_are_errors(self, capsys, tmp_path):
         deep = tmp_path / "deep.uid"

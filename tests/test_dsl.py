@@ -10,14 +10,17 @@ from hypothesis import strategies as st
 from weuler.dsl import (
     TOO_DEEP,
     Chain,
+    DslEvalError,
     DslParseError,
     Identity,
     check_corpus,
     check_identity,
     parse_identity,
+    parse_value,
     render_identity,
     tokenize,
 )
+from weuler.ratfunc import W
 
 REFLECTION = "forall n in 0..8 : w*E(n, x + 1) + E(n, x) = 2*x^n"
 
@@ -143,6 +146,21 @@ class TestParser:
         ast = parse_identity("forall n in 0..2 : 1/2*x + 1/2*x = x")
         assert check_identity(ast).status == "pass"
 
+    @pytest.mark.parametrize("written, meant", [
+        ("1/2^n", "(1/2)^n"),           # an int/int pair that opens an operand is one literal
+        ("-1/2^n", "(-1/2)^n"),
+        ("w/1/2", "(w/1)/2"),           # a literal right after / is not folded
+        ("w/2^n", "w/(2^n)"),
+        ("x*3/4", "x*(3/4)"),
+        ("-w^2", "-1*(w^2)"),           # - before a non-literal multiplies by -1
+        ("-w/(1 + w)", "(-1*w)/(1 + w)"),
+        ("1 + -w*x", "1 + (-1*w)*x"),
+    ])
+    def test_division_folding_and_unary_minus(self, written, meant):
+        a = parse_identity(f"forall n in 0..2 : {written} = x")
+        b = parse_identity(f"forall n in 0..2 : {meant} = x")
+        assert a == b
+
     def test_source_not_compared(self):
         a = parse_identity("forall n in 0..2 : x = x")
         b = parse_identity("forall n in 0..2 :   x=x")
@@ -223,6 +241,23 @@ class TestEvaluation:
         assert v.status == "error"
         assert "negative index n - 9 = -9 at n=0" in v.message
         assert v.location is None
+
+    @pytest.mark.parametrize("src", [
+        "forall n in 0..0 : E(0) = 2/(w + 1)",
+        "forall n in 0..2 : Ek(2, 2) = 8*w*(2*w - 1)/(1 + w)^4",
+    ])
+    def test_values_written_as_the_cli_prints_them_pass(self, src):
+        assert check_identity(parse_identity(src)).status == "pass"
+
+    @pytest.mark.parametrize("src, divisor", [
+        ("forall n in 0..2 : x/x = 1", "`x` is x"),
+        ("forall n in 0..2 : w/(w - w) = 0", "`w - w` is 0"),
+        ("forall n in 0..2 : x/binom(n, 2) = 0", "`binom(n, 2)` is 0"),
+    ])
+    def test_a_divisor_with_x_or_zero_is_an_eval_error(self, src, divisor):
+        v = check_identity(parse_identity(src))
+        message = f"divisor {divisor} at n=0, not a nonzero element of Q(w)"
+        assert (v.status, v.at, v.message, v.location) == ("error", 0, message, None)
 
     def test_max_n_clamp(self):
         # range reaches 10^6 but the clamp keeps the check finite
@@ -329,6 +364,48 @@ class TestCorpus:
         assert [(c.count, sorted(c.orders)) for c in dsl_chains] == [(9, [1, 2])]
 
 
+class TestParseValue:
+    def test_reads_a_value_in_w_and_x(self):
+        assert parse_value("8*w*(2*w - 1)/(1 + w)^4") == (8 * W * (2 * W - 1)) / (W + 1) ** 4
+        assert parse_value("-w^2") == -W * W
+        assert parse_value("w/1/2") == W / 2
+        assert parse_value("w/(3/4)") == 4 * W / 3
+        assert str(parse_value("1 + -w*x")) == "1 + -w*x"
+        assert parse_value("sum(i = 0..3, x^i)") == parse_value("1 + x + x^2 + x^3")
+
+    def test_ignores_whitespace(self):
+        assert str(parse_value(" 2*w*(w - 1) / (1 + w)^3 ")) == "2*w*(w - 1)/(1 + w)^3"
+
+    def test_rejects_garbage(self):
+        with pytest.raises(DslParseError, match="unbound variable `v`"):
+            parse_value("2*v")
+        with pytest.raises(DslParseError, match="1:3, zero denominator"):
+            parse_value("1/0")      # a literal, not a division
+        with pytest.raises(DslParseError, match="expected end of expression but found `=`"):
+            parse_value("w = w")
+
+    @pytest.mark.parametrize("text", ["²", "1 + w^²", "①*w"])
+    def test_rejects_digits_that_are_not_decimal(self, text):
+        # str.isdigit() takes ² and ①, which int() refuses
+        with pytest.raises(DslParseError, match="unexpected character '[²①]'"):
+            parse_value(text)
+
+    def test_rejects_deep_nesting(self):
+        assert parse_value("(" * 50 + "w" + ")" * 50) == W
+        with pytest.raises(DslParseError, match=TOO_DEEP):
+            parse_value("(" * 300 + "w" + ")" * 300)
+
+    @pytest.mark.parametrize("text", ["E(0)", "2*Ek(2, 1, x)", "sum(i = 0..2, E(i))"])
+    def test_rejects_euler_tables(self, text):
+        with pytest.raises(DslEvalError, match=r"reads an Euler table \(E or Ek\)"):
+            parse_value(text)
+
+    @pytest.mark.parametrize("text, divisor", [("x/x", "x"), ("w/(w - w)", "w - w"), ("w/0", "0")])
+    def test_a_divisor_with_x_or_zero_is_an_error(self, text, divisor):
+        with pytest.raises(DslEvalError, match=f"divisor `{divisor}`"):
+            parse_value(text)
+
+
 # ---------------------------------------------------------------------------
 # Properties of the parser
 
@@ -336,7 +413,8 @@ class TestCorpus:
 # the characters of the language, three non-ASCII digits and newlines
 DSL_CHARS = "forallinsumbinomEkwxnij0123456789 ..+-*/^(),:=#\n²①٢"
 DSL_WORDS = ["forall ", "n", " in ", "0..3", " : ", "=", "E(n)", "Ek(2, n)", "x", "w", "^",
-             "binom(n, i)", "sum(i = 0..n, ", "(", ")", "+", "-", "*", "1/2", ", x + 1", "\n", "²"]
+             "binom(n, i)", "sum(i = 0..n, ", "(", ")", "+", "-", "*", "/", "1/2", ", x + 1", "\n",
+             "²"]
 ANY_TEXT = st.one_of(st.text(alphabet=DSL_CHARS, max_size=60),
                      st.lists(st.sampled_from(DSL_WORDS), max_size=20).map("".join))
 
@@ -387,10 +465,14 @@ def expr_text(draw, bound, depth):
     if kind == "paren":
         return f"({draw(expr_text(bound, depth - 1))})"
     if kind == "chain":
-        ops = draw(st.lists(st.sampled_from([" + ", " - ", "*"]), min_size=1, max_size=3))
-        text = draw(expr_text(bound, depth - 1))
+        # any operand may take a leading -
+        operand = st.tuples(st.sampled_from(["", "-"]), expr_text(bound, depth - 1)).map("".join)
+        # 2/0 would fold into a literal with a zero denominator, a parse error
+        divisor = operand.filter(lambda text: not text.startswith("0"))
+        ops = draw(st.lists(st.sampled_from([" + ", " - ", "*", "/"]), min_size=1, max_size=3))
+        text = draw(operand)
         for op in ops:
-            text += op + draw(expr_text(bound, depth - 1))
+            text += op + draw(divisor if op == "/" else operand)
         return text
     if kind == "power":
         base = draw(st.one_of(atom_text(bound), expr_text(bound, depth - 1).map("({})".format)))
@@ -409,6 +491,10 @@ IDENTITY_TEXT = st.builds("forall n in {0}..{1} : {2} = {3}".format,
 
 
 @given(IDENTITY_TEXT)
+@example("forall n in 0..3 : w/(3/4) = w/1/2")
+@example("forall n in 0..3 : -w^2 = 1/2^n")
+@example("forall n in 0..3 : -(w + 1) = x")
+@example("forall n in 0..3 : (3)/4 + x*(2)/3^n = -(1/2)/5")
 @settings(max_examples=300, deadline=None)
 def test_render_then_parse_is_the_identity(text):
     ast = parse_identity(text)

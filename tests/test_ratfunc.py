@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weuler import ratfunc
-from weuler.dsl import check_corpus
+from weuler.dsl import check_corpus, parse_value
 from weuler.euler import EulerTable
 from weuler.ratfunc import (
     QQ,
@@ -51,6 +51,11 @@ def rationals():
     )
 
 
+def qw(text):
+    """The element of Q(w) that `text` writes, read by the .uid parser."""
+    return parse_value(text).coefficient(0)
+
+
 class TestCanonicalForm:
     def test_gcd_reduction(self):
         r = (W * W - ONE) / (W + ONE)
@@ -64,7 +69,7 @@ class TestCanonicalForm:
         assert str(r) == "1/(2*(1 + w))"
 
     def test_equality_is_structural(self):
-        a = QW.parse("2*w*(w - 1)/(1 + w)^3")
+        a = qw("2*w*(w - 1)/(1 + w)^3")
         b = (QW.of(frac(2)) * W * (W - ONE)) / one_plus_w_pow(3)
         assert a == b
         assert hash(a) == hash(b)
@@ -222,7 +227,7 @@ class TestRendering:
 
     @pytest.mark.parametrize("text", PINNED)
     def test_round_trip(self, text):
-        assert str(QW.parse(text)) == text
+        assert str(parse_value(text)) == text
 
     def test_half_w_folds_content_into_denominator(self):
         r = W * QW.of(frac(1, 2))
@@ -236,28 +241,19 @@ class TestRendering:
         r = (W * W * QW.of(frac(-3, 7)) + W) / (W * W + ONE)
         assert r.latex() == r"\frac{-\frac{3}{7} w^{2} + w}{w^{2} + 1}"
 
-    def test_parse_ignores_whitespace(self):
-        assert str(QW.parse(" 2*w*(w - 1) / (1 + w)^3 ")) == "2*w*(w - 1)/(1 + w)^3"
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError, match="unexpected character 'v'"):
-            QW.parse("2*v")
-
-    @pytest.mark.parametrize("text", ["²", "1 + w^²", "①*w"])
-    def test_parse_rejects_digits_that_are_not_decimal(self, text):
-        # str.isdigit() takes ² and ①, which int() refuses
-        with pytest.raises(ValueError, match="unexpected character '[²①]'"):
-            QW.parse(text)
-
-    def test_parse_rejects_deep_nesting(self):
-        assert QW.parse("(" * 50 + "w" + ")" * 50) == W
-        with pytest.raises(ValueError, match="nested too deeply"):
-            QW.parse("(" * 300 + "w" + ")" * 300)
-
     @given(rationals())
+    @example(-W * W)
+    @example(-W / (W + ONE))
     @settings(max_examples=50, deadline=None)
-    def test_render_parse_round_trip(self, r):
-        assert QW.parse(str(r)) == r
+    def test_rendered_rational_parses_back(self, r):
+        assert parse_value(str(r)) == r
+
+    @given(st.lists(rationals(), max_size=4))
+    @example([QW.of(frac(-1, 2)), -W * W, W / QW.of(frac(2))])
+    @settings(max_examples=50, deadline=None)
+    def test_rendered_polynomial_in_x_parses_back(self, coeffs):
+        p = Polynomial(QW, coeffs)
+        assert parse_value(str(p)) == p
 
 
 class TestFieldAxioms:
@@ -292,7 +288,7 @@ class TestFieldAxioms:
 
 class TestEvaluation:
     def test_eval_at(self):
-        r = QW.parse("2*w*(w - 1)/(1 + w)^3")
+        r = qw("2*w*(w - 1)/(1 + w)^3")
         assert r.eval_at(frac(4)) == frac(2 * 4 * 3, 5**3)
 
     def test_pole_raises(self):
@@ -302,7 +298,7 @@ class TestEvaluation:
     @given(rationals(), st.sampled_from([frac(2), frac(3), frac(5, 2)]))
     @settings(max_examples=40, deadline=None)
     def test_evaluation_is_a_homomorphism(self, a, w0):
-        b = QW.parse("(w + 1)/2")
+        b = qw("(w + 1)/2")
         try:
             va, vb = a.eval_at(w0), b.eval_at(w0)
         except ValueError:
@@ -367,7 +363,6 @@ class TestCombinatorics:
 
 class TestQQAdapter:
     def test_round_trip(self):
-        assert QQ.parse("-7/3") == frac(-7, 3)
         assert QQ.render(frac(-7, 3)) == "-7/3"
         assert QQ.latex(frac(-7, 3)) == r"-\frac{7}{3}"
         assert QQ.of(frac(5)) == frac(5)

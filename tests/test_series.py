@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weuler.dsl import parse_value
 from weuler.ratfunc import QQ, QW, W
 from weuler.series import Series, exp_series
 
@@ -36,7 +37,7 @@ class TestBasics:
         assert f.order() == 2
         assert Series.zero(QQ, 5).order() is None
         assert Series.one(QQ, 5).order() == 0
-        assert Series.identity(QQ, 5).order() == 1
+        assert Series.monomial(QQ, 1, 5).order() == 1
 
     def test_umbral_coefficient_is_factorial_scaled(self):
         f = exp_series(QQ, Fraction(1), 8)
@@ -92,25 +93,26 @@ class TestBasics:
 
 class TestInverse:
     def test_geometric(self):
-        f = Series.one(QQ, 6) - Series.identity(QQ, 6)
+        f = Series.one(QQ, 6) - Series.monomial(QQ, 1, 6)
         assert list(f.inverse().coeffs) == [1] * 6
 
     def test_exp_inverse_is_exp_negated(self):
         e = exp_series(QQ, Fraction(1), 8)
-        assert e.inverse().agrees_with(exp_series(QQ, Fraction(-1), 8))
+        assert e.inverse() == exp_series(QQ, Fraction(-1), 8)
 
     def test_error_message(self):
         with pytest.raises(ValueError, match=r"not invertible \(delta or higher order\)"):
-            Series.identity(QQ, 5).inverse()
+            Series.monomial(QQ, 1, 5).inverse()
 
     @given(series_strategy().filter(lambda f: f.coefficient(0) != 0))
     @settings(max_examples=40, deadline=None)
     def test_inverse_round_trip(self, f):
-        assert (f * f.inverse()).agrees_with(Series.one(QQ, f.precision))
+        assert f * f.inverse() == Series.one(QQ, f.precision)
 
     def test_symbolic_field(self):
         # 1/( (w e^t + 1)/2 ) has constant term 2/(1+w)
-        g = exp_series(QW, QW.one, 5).scale(W).add_constant(QW.one).scale(QW.parse("1/2"))
+        half = parse_value("1/2").coefficient(0)
+        g = exp_series(QW, QW.one, 5).scale(W).add_constant(QW.one).scale(half)
         inv = g.inverse()
         assert str(inv.coefficient(0)) == "2/(1 + w)"
 
@@ -123,16 +125,16 @@ class TestCompose:
 
     def test_exp_of_double(self):
         e = exp_series(QQ, Fraction(1), 7)
-        doubled = Series.identity(QQ, 7).scale(Fraction(2))
+        doubled = Series.monomial(QQ, 1, 7).scale(Fraction(2))
         composed = e.compose(doubled)
-        assert composed.agrees_with(exp_series(QQ, Fraction(2), 7))
+        assert composed == exp_series(QQ, Fraction(2), 7)
 
     @given(series_strategy(6), series_strategy(6))
     @settings(max_examples=30, deadline=None)
     def test_composition_is_a_ring_map(self, f, g):
         d = S([0, 1, 1, 0, 2, 1], precision=6)
-        assert ((f + g).compose(d)).agrees_with(f.compose(d) + g.compose(d))
-        assert ((f * g).compose(d)).agrees_with(f.compose(d) * g.compose(d))
+        assert (f + g).compose(d) == f.compose(d) + g.compose(d)
+        assert (f * g).compose(d) == f.compose(d) * g.compose(d)
 
 
 class TestReverse:
@@ -151,9 +153,9 @@ class TestReverse:
     def test_round_trip_both_ways(self):
         f = S([0, 1, 0, 3, -2, 1, 0, 7], precision=8)
         fbar = f.reverse()
-        ident = Series.identity(QQ, 8)
-        assert f.compose(fbar).agrees_with(ident)
-        assert fbar.compose(f).agrees_with(ident)
+        ident = Series.monomial(QQ, 1, 8)
+        assert f.compose(fbar) == ident
+        assert fbar.compose(f) == ident
 
     def test_seeded_random_round_trips(self):
         rng = random.Random(20260814)
@@ -163,7 +165,7 @@ class TestReverse:
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(10)
             ]
             f = Series(QQ, coeffs, 12)
-            assert f.compose(f.reverse()).agrees_with(Series.identity(QQ, 12))
+            assert f.compose(f.reverse()) == Series.monomial(QQ, 1, 12)
 
 
 class TestExpSeries:
@@ -176,7 +178,7 @@ class TestExpSeries:
     def test_functional_equation(self):
         a = exp_series(QQ, Fraction(2), 9)
         b = exp_series(QQ, Fraction(5), 9)
-        assert (a * b).agrees_with(exp_series(QQ, Fraction(7), 9))
+        assert a * b == exp_series(QQ, Fraction(7), 9)
 
 
 def _fact(n):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weuler.dsl import parse_value
 from weuler.ratfunc import QQ, QW, W
 from weuler.series import Series, exp_series
 from weuler.umbral import (
@@ -136,9 +137,9 @@ class TestSheffer:
 
     def test_validates_orders(self):
         good_g = Series.one(QQ, 6)
-        good_f = Series.identity(QQ, 6)
+        good_f = Series.monomial(QQ, 1, 6)
         with pytest.raises(ValueError):
-            ShefferPair(Series.identity(QQ, 6), good_f)  # g must be invertible
+            ShefferPair(Series.monomial(QQ, 1, 6), good_f)  # g must be invertible
         with pytest.raises(ValueError):
             ShefferPair(good_g, Series.one(QQ, 6))  # f must be a delta series
 
@@ -152,7 +153,7 @@ class TestSheffer:
 
     def test_appell_special_case(self):
         g = Series(QQ, [Fraction(1), Fraction(1), Fraction(1, 2)] + [Fraction(0)] * 5, 8)
-        pair = ShefferPair(g, Series.identity(QQ, 8))
+        pair = ShefferPair(g, Series.monomial(QQ, 1, 8))
         assert sheffer_basis(pair, 5) == appell_basis(g, 5)
 
     def test_count_edge_cases(self):
@@ -184,6 +185,7 @@ class TestSheffer:
 
     def test_symbolic_field_basis(self):
         # Appell for g = (w e^t + 1)/2 over Q(w): constant of S_0 is 2/(1+w)
-        g = exp_series(QW, QW.one, 6).scale(W).add_constant(QW.one).scale(QW.parse("1/2"))
+        half = parse_value("1/2").coefficient(0)
+        g = exp_series(QW, QW.one, 6).scale(W).add_constant(QW.one).scale(half)
         basis = appell_basis(g, 3)
         assert str(basis[0]) == "2/(1 + w)"

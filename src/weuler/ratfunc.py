@@ -350,12 +350,17 @@ def _int_primitive(coeffs: list[int]) -> list[int]:
     return [c // g for c in coeffs]
 
 
+def _integer_row(coeffs) -> tuple[list[int], int]:
+    """(ints, d): Fraction coefficients as integers over the lcm d of their
+    denominators, so coeffs[i] == Fraction(ints[i], d)."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def _to_int_primitive(p: Polynomial) -> list[int]:
     if p.is_zero():
         return []
-    den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den_lcm) for c in p.coeffs]
-    return _int_primitive(ints)
+    return _int_primitive(_integer_row(p.coeffs)[0])
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -540,15 +545,18 @@ class WRational:
             return
         m = _as_one_plus_w_power(den)
         if m is not None:
-            # hot path: strip shared (1 + w) factors by synthetic division
-            coeffs = num.coeffs
-            while m > 0 and len(coeffs) > 1:
-                quot = _div_w_plus_one(coeffs)
+            # hot path: strip shared (1 + w) factors by synthetic division on
+            # the numerator's integer row, so a pass subtracts ints, not Fractions
+            ints, d = _integer_row(num.coeffs)
+            while m > 0 and len(ints) > 1:
+                quot = _div_w_plus_one(ints)
                 if quot is None:
                     break
-                coeffs = quot
+                ints = quot
                 m -= 1
-            self.num = num if coeffs is num.coeffs else _wpoly(coeffs)
+            if len(ints) < len(num.coeffs):
+                num = _wpoly(Fraction(c, d) for c in ints)
+            self.num = num
             self.den = one_plus_w_pow(m) if m else _W_ONE
             return
         g = poly_gcd(num, den)

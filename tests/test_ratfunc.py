@@ -43,6 +43,14 @@ def polys(max_degree=3):
     )
 
 
+def mixed_polys(max_degree):
+    """Polynomials in w whose coefficients have assorted denominators."""
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+    return st.lists(coeffs, min_size=1, max_size=max_degree + 1).map(
+        lambda cs: WPolynomial(QQ, tuple(cs), "w")
+    )
+
+
 def rationals():
     return st.builds(
         lambda num, den: WRational(num, den),
@@ -124,16 +132,52 @@ class TestOnePlusWPowerPath:
         out.num, out.den = num.scale(1 / den.leading), den.scale(1 / den.leading)
         return out
 
-    @given(polys(max_degree=4), st.integers(0, 6), st.integers(0, 6))
+    @given(mixed_polys(max_degree=10), st.integers(0, 12), st.integers(0, 12))
     @example(wpoly(), 3, 4)
     @example(wpoly(frac(-3, 2)), 0, 5)
     @example(wpoly(frac(7)), 6, 2)
+    @example(wpoly(frac(1, 2), frac(-2, 3), frac(5, 4), frac(-7, 30)), 12, 12)
     @settings(max_examples=150, deadline=None)
     def test_matches_gcd_reduction(self, p, j, m):
         num, den = p * one_plus_w_pow(j), one_plus_w_pow(m)
         got, want = WRational(num, den), self.reference(num, den)
         assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
         assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize("p, j, m, left", [
+        # the row over 6 is (3 + 2w)(1+w)^3; stripped, 3/6 and 2/6 reduce
+        (wpoly(frac(1, 2), frac(1, 3)), 3, 5, 2),
+        # 1/2 + w/3 + w^2/5 does not vanish at -1: nothing strips
+        (wpoly(frac(1, 2), frac(1, 3), frac(1, 5)), 0, 4, 4),
+        # denominators 3, 5, 7 and 105 in the row; the whole denominator goes
+        (wpoly(frac(2, 3), frac(-1, 5), frac(1, 7)), 5, 3, 0),
+    ])
+    def test_subtracts_no_fractions(self, monkeypatch, p, j, m, left):
+        num, den = p * one_plus_w_pow(j), one_plus_w_pow(m)
+        want = self.reference(num, den)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the (1 + w)^m path subtracted Fractions")
+
+        monkeypatch.setattr(Fraction, "__sub__", forbidden)
+        monkeypatch.setattr(Fraction, "__rsub__", forbidden)
+        got = WRational(num, den)
+        monkeypatch.undo()
+        assert got.den.degree == left
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+        if left == m:
+            assert got.num is num       # nothing came off: the numerator is kept as it is
+
+    def test_div_w_plus_one_on_int_rows(self):
+        # 2 - w - 2w^2 + w^3 = (1 + w)(2 - 3w + w^2)
+        quot = ratfunc._div_w_plus_one([2, -1, -2, 1])
+        assert quot == [2, -3, 1]
+        assert all(type(c) is int for c in quot)
+        # 1 + 2w + 3w^2 is 2 at w = -1
+        assert ratfunc._div_w_plus_one([1, 2, 3]) is None
+
+    def test_integer_row(self):
+        assert ratfunc._integer_row((frac(1, 2), frac(-1, 3), frac(0), frac(5))) == ([3, -2, 0, 30], 6)
 
     @pytest.mark.parametrize("p, j, m, left", [
         (wpoly(frac(3), frac(1, 2)), 4, 6, 2),     # stops where 3 + w/2 does not divide

@@ -197,7 +197,10 @@ class Polynomial:
                           for k in range(len(a) + last)])
 
     def scale(self, c) -> "Polynomial":
-        c = self.field.of(c)
+        """c * self.  An int or Fraction multiplies the coefficients as it is:
+        over Q(w) that takes WRational's scalar product, not a promotion."""
+        if not isinstance(c, (int, Fraction)):
+            c = self.field.of(c)
         if not c:
             return self._new([])
         return self._new([a * c for a in self.coeffs])
@@ -615,9 +618,7 @@ class WRational:
     __radd__ = __add__
 
     def __neg__(self) -> "WRational":
-        out = object.__new__(WRational)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other) -> "WRational":
         try:
@@ -632,6 +633,11 @@ class WRational:
         return (-self) + other
 
     def __mul__(self, other) -> "WRational":
+        if isinstance(other, (int, Fraction)):
+            # a nonzero rational scalar keeps num/den coprime and den monic
+            if not other:
+                return _canonical(_W_ZERO, _W_ONE)
+            return _canonical(self.num.scale(other), self.den)
         try:
             other = WRational.promote(other)
         except TypeError:
@@ -694,6 +700,13 @@ class WRational:
         den = (f"(1 + w)^{{{m}}}" if m and m > 1
                else "(1 + w)" if m else poly_text(self.den.coeffs, latex=True))
         return f"\\frac{{{num}}}{{{den}}}"
+
+
+def _canonical(num: Polynomial, den: Polynomial) -> WRational:
+    """WRational from a num/den pair that is in canonical form already."""
+    out = object.__new__(WRational)
+    out.num, out.den = num, den
+    return out
 
 
 def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:

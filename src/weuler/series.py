@@ -128,7 +128,9 @@ class Series:
         return Series._make(self.field, [-a for a in self.coeffs], self.precision)
 
     def scale(self, c) -> "Series":
-        c = self.field.of(c)
+        """c * self; an int or Fraction multiplies as it is, as in Polynomial.scale."""
+        if not isinstance(c, (int, Fraction)):
+            c = self.field.of(c)
         return Series._make(self.field, [a * c for a in self.coeffs], self.precision)
 
     def add_constant(self, c) -> "Series":

@@ -31,27 +31,35 @@ def _require_precision(f: Series, p: Polynomial) -> None:
         )
 
 
-def pairing(f: Series, p: Polynomial):
-    """<f | p> = sum_j p_j j! c_j(f)."""
+def _rows(f: Series, p: Polynomial) -> tuple[Sequence, list]:
+    """(c, q): the c_k(f) that meet p, in p's field, and q_m = m! p_m."""
     _require_precision(f, p)
-    acc = f.field.zero
-    for j, pj in enumerate(p.coeffs):
-        if pj != p.field.zero:
-            acc = acc + pj * math.factorial(j) * f.coeffs[j]
-    return acc
+    field = p.field
+    c = f.coeffs[:len(p.coeffs)]
+    if f.field is not field:
+        c = [field.of(ck) for ck in c]
+    return c, [pm * math.factorial(m) for m, pm in enumerate(p.coeffs)]
+
+
+def pairing(f: Series, p: Polynomial):
+    """<f | p> = sum_m c_m(f) q_m with q_m = m! p_m: one field.dot in p's field.
+
+    It is the x^0 coefficient of apply_functional(f, p).
+    """
+    c, q = _rows(f, p)
+    return p.field.dot(c, q)
 
 
 def apply_functional(f: Series, p: Polynomial) -> Polynomial:
-    """f(t) acting on p: sum_k c_k(f) p^(k)(x); t^k differentiates k times."""
-    _require_precision(f, p)
-    acc = Polynomial.zero(p.field)
-    deriv = p
-    for k in range(p.degree + 1):
-        ck = f.coeffs[k]
-        if ck != f.field.zero:
-            acc = acc + deriv.scale(ck)
-        deriv = deriv.derivative()
-    return acc
+    """f(t) acting on p: sum_k c_k(f) p^(k)(x); t^k differentiates k times.
+
+    With q_m = m! p_m, the x^j coefficient of the result is
+    (1/j!) sum_k c_k q_(j+k): one field.dot per coefficient, in p's field
+    and variable.
+    """
+    c, q = _rows(f, p)
+    dot, d = p.field.dot, len(q)
+    return p._new([dot(c[:d - j], q[j:]) * Fraction(1, math.factorial(j)) for j in range(d)])
 
 
 class ShefferPair:

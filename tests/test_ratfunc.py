@@ -25,6 +25,7 @@ from weuler.ratfunc import (
     one_plus_w_pow,
     poly_gcd,
 )
+from weuler.series import Series
 
 ONE = QW.one
 ZERO = QW.zero
@@ -604,3 +605,49 @@ class TestPolynomialProduct:
         del sizes[:]
         EulerTable.build(16)
         assert max(sizes) >= ratfunc.DOT_MIN_PRODUCTS
+
+
+# denominators of the scalar-product operands: (1 + w)^m, and w - 2 times it
+SCALAR_DENS = [one_plus_w_pow(m) for m in range(4)] + [one_plus_w_pow(m) * wpoly(-2, 1) for m in range(3)]
+rational_scalars = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=7))
+
+
+class TestScalarProduct:
+    """WRational times an int or Fraction scales the numerator over the same denominator."""
+
+    @given(mixed_polys(max_degree=5), st.sampled_from(SCALAR_DENS), rational_scalars)
+    @example(wpoly(1, 1), one_plus_w_pow(2), 0)
+    @example(wpoly(frac(1, 2), -3), wpoly(-2, 1), frac(-4, 9))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_constructor(self, num, den, c):
+        x = WRational(num, den)
+        want = WRational(x.num * c, x.den)
+        for got in (x * c, c * x):
+            assert type(got) is WRational
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+            assert all(type(coeff) is Fraction for coeff in got.num.coeffs)
+            assert hash(got) == hash(want)
+
+    def test_builds_no_polynomial_product(self, monkeypatch):
+        x = (W - 2) / (W + ONE) ** 3
+        want = {c: WRational(x.num * c, x.den) for c in (3, frac(-2, 3), 0)}
+
+        def refuse(self, other):
+            raise AssertionError("a scalar product built a polynomial product")
+
+        monkeypatch.setattr(Polynomial, "__mul__", refuse)
+        for c, expect in want.items():
+            assert x * c == expect and c * x == expect
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scale_by_a_python_scalar_matches_the_field_element(self, data):
+        field = data.draw(st.sampled_from([QQ, QW]))
+        coeffs = data.draw(st.lists(TestOnePolynomialType.scalars(field), max_size=5))
+        c = data.draw(rational_scalars)
+        p = Polynomial(field, coeffs)
+        got, want = p.scale(c), p.scale(field.of(c))
+        assert got.var == want.var and got.coeffs == want.coeffs
+        assert all(type(coeff) is type(field.zero) for coeff in got.coeffs)
+        s = Series(field, coeffs or [0])
+        assert s.scale(c) == s.scale(field.of(c))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weuler.dsl import parse_value
-from weuler.ratfunc import QQ, QW, W
+from weuler.ratfunc import QQ, QW, W, Polynomial
 from weuler.series import Series, exp_series
 from weuler.umbral import (
     ShefferPair,
@@ -102,6 +102,91 @@ class TestApplyFunctional:
     def test_identity_series_is_identity_operator(self):
         p = P([7, 0, 2])
         assert apply_functional(Series.one(QQ, 8), p) == p
+
+    def test_polynomial_in_another_variable(self):
+        # the result is built in p's variable
+        p = Polynomial(QQ, [1, 2], var="w")
+        got = apply_functional(Series.monomial(QQ, 1, 4), p)
+        assert got.var == "w" and got == Polynomial(QQ, [2], var="w")
+        shifted = apply_functional(exp_series(QQ, Fraction(3), 4), p)
+        assert shifted.var == "w" and shifted == p.shifted(3)
+        assert pairing(exp_series(QQ, Fraction(3), 4), p) == p.eval_at(3)
+
+
+# The definitions the one-dot forms replaced, kept as their oracle.
+
+
+def pairing_by_terms(f, p):
+    """<f | p> = sum_j p_j j! c_j(f), added one term at a time."""
+    acc = f.field.zero
+    for j, pj in enumerate(p.coeffs):
+        if pj != p.field.zero:
+            acc = acc + pj * math.factorial(j) * f.coeffs[j]
+    return acc
+
+
+def functional_by_derivatives(f, p):
+    """sum_k c_k(f) p^(k): the derivative chain, scaled and added."""
+    acc = Polynomial(p.field, (), p.var)
+    deriv = p
+    for k in range(p.degree + 1):
+        ck = f.coeffs[k]
+        if ck != f.field.zero:
+            acc = acc + deriv.scale(ck)
+        deriv = deriv.derivative()
+    return acc
+
+
+def field_scalars(field):
+    small = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-4, 4, max_denominator=5))
+    if field is QQ:
+        return small
+    return st.one_of(
+        small,
+        st.builds(lambda a, b: QW.of(a) * W + b, small, small),
+        st.builds(lambda a, b: (W - a) / (W + QW.one) ** b, small, st.integers(1, 3)),
+    )
+
+
+@st.composite
+def functional_operands(draw):
+    """(f, p) over one field: p dense, x^n or zero; f of precision degree + 1 or more."""
+    field = draw(st.sampled_from([QQ, QW]))
+    scalars = field_scalars(field)
+    top = 8 if field is QQ else 5
+    kind = draw(st.sampled_from(["dense", "monomial", "zero"]))
+    if kind == "dense":
+        p = Polynomial(field, draw(st.lists(scalars, min_size=1, max_size=top + 1)))
+    elif kind == "monomial":
+        p = Polynomial.monomial(field, draw(st.integers(0, top)))
+    else:
+        p = Polynomial(field, ())
+    precision = max(p.degree, 0) + 1 + draw(st.integers(0, 2))
+    f = Series(field, draw(st.lists(scalars, min_size=precision, max_size=precision)))
+    return f, p
+
+
+class TestOneDotForms:
+    """apply_functional and pairing agree with the definitions they replaced."""
+
+    @given(functional_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_match_the_term_sums(self, operands):
+        f, p = operands
+        got = apply_functional(f, p)
+        want = functional_by_derivatives(f, p)
+        assert got.field is p.field and got.var == p.var
+        assert got.coeffs == want.coeffs        # canonical forms, so structural
+        assert all(type(c) is type(p.field.zero) for c in got.coeffs)
+        value = pairing(f, p)
+        assert type(value) is type(p.field.zero) and value == pairing_by_terms(f, p)
+        assert value == got.coefficient(0)
+
+    @pytest.mark.parametrize("field", [QQ, QW], ids=["QQ", "QW"])
+    def test_zero_polynomial(self, field):
+        f = Series(field, [field.of(2), field.of(3)])
+        assert apply_functional(f, Polynomial(field, ())).is_zero()
+        assert pairing(f, Polynomial(field, ())) == field.zero
 
 
 class TestAppell:

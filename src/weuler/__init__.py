@@ -11,11 +11,10 @@ Everything is exact rational arithmetic: no floats anywhere. The core stack is
 * :mod:`weuler.cli`     -- the ``weuler`` command line front end.
 """
 
-from .ratfunc import QQ, QW, W, Polynomial, WPolynomial, WRational, binomial, multinomial
+from .ratfunc import QQ, QW, W, Polynomial, WRational, binomial, multinomial
 from .series import Series, exp_series
 from .umbral import (
     ShefferPair,
-    XPolynomial,
     appell_basis,
     apply_functional,
     biorthogonality_check,
@@ -35,13 +34,10 @@ from .euler import (
 )
 from .padic import (
     ConvergenceReport,
-    PadicNumber,
     ShiftReport,
     convergence_report,
     exact_integral,
-    fermionic_partial_sum,
     is_admissible_weight,
-    padic_from_rational,
     shift_identity_check,
     vp_fraction,
     vp_int,
@@ -62,13 +58,11 @@ __all__ = [
     "QW",
     "W",
     "Polynomial",
-    "WPolynomial",
     "WRational",
     "binomial",
     "multinomial",
     "Series",
     "exp_series",
-    "XPolynomial",
     "ShefferPair",
     "pairing",
     "apply_functional",
@@ -84,15 +78,12 @@ __all__ = [
     "classical_euler_polys",
     "order_k_multinomial",
     "verify_paper_suite",
-    "PadicNumber",
     "ConvergenceReport",
     "ShiftReport",
     "vp_int",
     "vp_fraction",
     "is_admissible_weight",
-    "padic_from_rational",
     "exact_integral",
-    "fermionic_partial_sum",
     "convergence_report",
     "shift_identity_check",
     "DslParseError",

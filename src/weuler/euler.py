@@ -138,10 +138,6 @@ class EulerTable:
             self._polys = tuple(_polys_from_numbers(self.field, self.numbers))
         return self._polys
 
-    @property
-    def count(self) -> int:
-        return len(self.numbers)
-
     def w_value(self):
         """w as a field element: the indeterminate, or the chosen rational."""
         return W if self.w0 is None else QQ.of(self.w0)
@@ -307,9 +303,11 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     `tables` may supply prebuilt (possibly perturbed) EulerTable values keyed
     by order; missing orders are read from one TableChain of their own,
-    never extended from a supplied table.  Failures are reported, never
-    raised.  Each check is a generator of (n, k, difference) cases, consumed
-    only up to its first failure.
+    never extended from a supplied table.  A supplied table must hold the
+    order it is keyed by and at least max_n numbers, and all of them one
+    weight; otherwise ValueError names the key before any check runs.  An
+    identity's failure is reported, never raised.  Each check is a generator
+    of (n, k, difference) cases, consumed only up to its first failure.
 
     The tables invert g = (w e^t + 1)/2, then take powers of the inverse.
     Checks (g) and (h) take the other route to GF^k: the power g^k, then its
@@ -319,6 +317,13 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
         raise ValueError("need max_n >= 2 and max_k >= 1")
     supplied = tables or {}
     w0 = next((t.w0 for t in supplied.values()), None)
+    for key, table in supplied.items():
+        if table.w0 != w0:
+            raise ValueError(f"table {key}: w0 = {table.w0}, but the first supplied table has w0 = {w0}")
+        if table.order != key:
+            raise ValueError(f"table {key}: holds order {table.order}")
+        if len(table.numbers) < max_n:
+            raise ValueError(f"table {key}: {len(table.numbers)} numbers, fewer than max_n = {max_n}")
     orders = range(1, max_k + 1)
     chain = TableChain(max_n, w0)
     tables = {k: supplied[k] if k in supplied else chain.table(k) for k in orders}

@@ -1,7 +1,7 @@
-"""Fixed-precision p-adic numbers and truncated fermionic sums.
+"""Truncated fermionic sums and their p-adic convergence reports.
 
-Partial sums S_m = sum_{a < p^m} w^a f(a) (-1)^a are computed in exact
-rational arithmetic and only reduced p-adically for reporting; the exact
+Partial sums S_m = sum_{a < p^m} w^a f(a) (-1)^a are exact rationals, and a
+report reads only the valuation of each deviation from the exact limit.  The
 limits come from the weighted Euler numbers, never from a second derivation
 here.  Weights must satisfy |1-w|_p < 1 and p must be an odd prime.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .euler import weighted_euler_numbers
 from .ratfunc import QQ, QW, W, Polynomial
@@ -74,145 +73,6 @@ def _require_admissible(w: Fraction, p: int) -> None:
         raise ValueError(f"weight w = {w} requires |1-w|_p < 1 for p = {p}")
 
 
-class PadicNumber:
-    """p^v * unit with the unit known modulo p^M (or an exact zero).
-
-    The represented value is known modulo p^(v+M).  Exact zeros carry
-    valuation None; their precision records the modulus they are zero to.
-    """
-
-    __slots__ = ("p", "valuation", "unit", "precision")
-
-    def __init__(self, p: int, valuation: Optional[int], unit: int, precision: int):
-        _require_odd_prime(p)
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
-        if valuation is None:
-            unit = 0
-        else:
-            modulus = p ** precision
-            unit %= modulus
-            if unit == 0 or unit % p == 0:
-                raise ValueError("unit must be coprime to p")
-        self.p = p
-        self.valuation = valuation
-        self.unit = unit
-        self.precision = precision
-
-    @classmethod
-    def zero(cls, p: int, precision: int) -> "PadicNumber":
-        return cls(p, None, 0, precision)
-
-    def is_zero(self) -> bool:
-        return self.valuation is None
-
-    def abs_precision(self) -> int:
-        """The value is known modulo p to this power."""
-        if self.valuation is None:
-            return self.precision
-        return self.valuation + self.precision
-
-    def _shifted_int(self, base: int, k: int) -> int:
-        """Integer value of self / p^base modulo p^(k - base).
-
-        Keeps everything in exact integers even for negative valuations;
-        requires base <= valuation and k <= abs_precision().
-        """
-        if k > self.abs_precision():
-            raise ValueError("not enough precision")
-        if self.valuation is None:
-            return 0
-        if self.valuation < base:
-            raise ValueError("base exceeds valuation")
-        return (self.p ** (self.valuation - base) * self.unit) % self.p ** (k - base)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PadicNumber):
-            return NotImplemented
-        if self.p != other.p:
-            return False
-        k = min(self.abs_precision(), other.abs_precision())
-        vals = [x.valuation for x in (self, other) if x.valuation is not None]
-        base = min(vals) if vals else 0
-        if k <= base:
-            return True  # both values vanish modulo p^k
-        return self._shifted_int(base, k) == other._shifted_int(base, k)
-
-    def __hash__(self):
-        raise TypeError("unhashable: equality is precision-relative")
-
-    def __add__(self, other: "PadicNumber") -> "PadicNumber":
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        p = self.p
-        k = min(self.abs_precision(), other.abs_precision())
-        vals = [x.valuation for x in (self, other) if x.valuation is not None]
-        base = min(vals) if vals else 0
-        if k <= base:
-            return PadicNumber.zero(p, max(k, 1))
-        raw = (self._shifted_int(base, k) + other._shifted_int(base, k)) % p ** (k - base)
-        res = _from_residue(raw, p, k - base)
-        if res.valuation is None:
-            return PadicNumber.zero(p, max(k, 1))
-        return PadicNumber(p, res.valuation + base, res.unit, res.precision)
-
-    def __neg__(self) -> "PadicNumber":
-        if self.valuation is None:
-            return self
-        return PadicNumber(self.p, self.valuation, self.p ** self.precision - self.unit, self.precision)
-
-    def __sub__(self, other: "PadicNumber") -> "PadicNumber":
-        return self + (-other)
-
-    def __mul__(self, other: "PadicNumber") -> "PadicNumber":
-        if self.p != other.p:
-            raise ValueError("mixed primes")
-        p = self.p
-        if self.is_zero() or other.is_zero():
-            zero_prec = min(
-                self.precision + (other.valuation or 0),
-                other.precision + (self.valuation or 0),
-            )
-            return PadicNumber.zero(p, max(zero_prec, 1))
-        m = min(self.precision, other.precision)
-        return PadicNumber(p, self.valuation + other.valuation, self.unit * other.unit % p ** m, m)
-
-    def __str__(self) -> str:
-        if self.valuation is None:
-            return f"O({self.p}^{self.precision})"
-        return f"{self.p}^{self.valuation} * {self.unit} + O({self.p}^{self.abs_precision()})"
-
-    def __repr__(self) -> str:
-        return f"PadicNumber({str(self)})"
-
-
-def _from_residue(raw: int, p: int, abs_prec: int) -> PadicNumber:
-    """Classify an integer known modulo p^abs_prec."""
-    if raw % p ** abs_prec == 0:
-        return PadicNumber.zero(p, abs_prec)
-    v = vp_int(raw, p)
-    return PadicNumber(p, v, raw // p ** v, abs_prec - v)
-
-
-def padic_from_rational(r, p: int, M: int) -> PadicNumber:
-    """Exact reduction: valuation plus unit modulo p^M."""
-    _require_odd_prime(p)
-    if M < 1:
-        raise ValueError("precision must be at least 1")
-    r = Fraction(r)
-    if r == 0:
-        return PadicNumber.zero(p, M)
-    vn = vp_int(r.numerator, p)
-    vd = vp_int(r.denominator, p)
-    modulus = p ** M
-    num_unit = abs(r.numerator) // p ** vn
-    den_unit = r.denominator // p ** vd
-    unit = num_unit * pow(den_unit, -1, modulus) % modulus
-    if r < 0:
-        unit = modulus - unit
-    return PadicNumber(p, vn - vd, unit, M)
-
-
 # ---------------------------------------------------------------------------
 # Truncated fermionic sums
 
@@ -245,11 +105,6 @@ def partial_sums(f, w, p: int, levels: int) -> list[Fraction]:
             out.append(acc)
             cut *= p
     return out
-
-
-def fermionic_partial_sum(f, w, p: int, level: int, M: int) -> PadicNumber:
-    """S_level reduced to a p-adic number of precision M."""
-    return padic_from_rational(partial_sums(f, w, p, level)[-1], p, M)
 
 
 def exact_integral(f, w=None):

@@ -299,7 +299,8 @@ class Polynomial:
         return " + ".join(parts)
 
 
-# the name polynomials in w are known by; umbral.XPolynomial is the same class
+# Old name of Polynomial.  Only bench/tracing.py reads it, for its spans on
+# WPolynomial.__mul__ and .divexact; it goes (item 13) once item 1 renames those spans.
 WPolynomial = Polynomial
 
 

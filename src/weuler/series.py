@@ -243,10 +243,6 @@ class Series:
     def __repr__(self) -> str:
         return f"Series[{self.field.name}]({str(self)})"
 
-    def to_json(self) -> list[str]:
-        """Exact coefficients as strings, index = power of t."""
-        return [self.field.render(c) for c in self.coeffs]
-
 
 def _wrap(text: str) -> str:
     return f"({text})" if (" + " in text or " - " in text) else text

@@ -16,7 +16,8 @@ from .ratfunc import Polynomial
 from .series import Series
 
 
-# the name polynomials in x are known by; ratfunc.WPolynomial is the same class
+# Old name of Polynomial.  Only bench/tracing.py reads it, for its spans on
+# XPolynomial.__str__ and .to_json; it goes (item 13) once item 1 renames those spans.
 XPolynomial = Polynomial
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,9 @@ from weuler.euler import (
     weighted_euler_numbers,
     weighted_euler_polys,
 )
-from weuler.ratfunc import QQ, QW, W, WRational, binomial
+from weuler.ratfunc import QQ, QW, W, Polynomial, WRational, binomial
 from weuler.series import Series, exp_series
-from weuler.umbral import XPolynomial, apply_functional, pairing
+from weuler.umbral import apply_functional, pairing
 
 # Frozen oracle: first symbolic weighted Euler numbers, derived by hand from
 # (1+w) E_n = 2*[n=0] - w * sum_{j<n} C(n,j) E_j and cross-checked against the
@@ -109,7 +110,7 @@ class TestPolynomials:
         polys = weighted_euler_polys(7)
         for n in range(7):
             lhs = polys[n].shifted(QW.one).scale(W) + polys[n]
-            rhs = XPolynomial(QW, tuple([QW.zero] * n + [QW.of(Fraction(2))]))
+            rhs = Polynomial(QW, tuple([QW.zero] * n + [QW.of(Fraction(2))]))
             assert lhs == rhs
 
     def test_functional_and_operator_representations(self):
@@ -117,7 +118,7 @@ class TestPolynomials:
         nums = weighted_euler_numbers(7)
         polys = weighted_euler_polys(7)
         for n in range(7):
-            xn = XPolynomial(QW, tuple([QW.zero] * n + [QW.one]))
+            xn = Polynomial(QW, tuple([QW.zero] * n + [QW.one]))
             assert pairing(gf, xn) == nums[n]
             assert apply_functional(gf, xn) == polys[n]
 
@@ -429,6 +430,22 @@ class TestVerifySuite:
     def test_numeric_weight_suite(self):
         tables = {k: EulerTable.build(6, k, w=Fraction(4)) for k in (1, 2)}
         assert verify_paper_suite(6, 2, tables=tables).passed
+
+    # Tables that do not fit the run: each used to end in FAILs for identities
+    # that hold, or in an IndexError midway through the checks.
+    @pytest.mark.parametrize("tables, max_n, message", [
+        (lambda: {1: EulerTable.build(5, 1, w=4), 2: EulerTable.build(5, 2)}, 5,
+         "table 2: w0 = None, but the first supplied table has w0 = 4"),
+        (lambda: {2: EulerTable.build(5, 1)}, 5, "table 2: holds order 1"),
+        (lambda: {1: EulerTable.build(3, 1)}, 5, "table 1: 3 numbers, fewer than max_n = 5"),
+    ], ids=["mixed-weights", "order-under-wrong-key", "too-few-numbers"])
+    def test_mismatched_tables_rejected_before_any_check(self, monkeypatch, tables, max_n, message):
+        supplied = tables()
+        ran = []
+        monkeypatch.setattr(euler, "_first_failure", lambda cases: ran.append(cases))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            verify_paper_suite(max_n, 2, tables=supplied)
+        assert ran == []
 
     def test_mutated_table_caught_with_spec_counterexample(self):
         t = EulerTable.build(6, 1)

@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from weuler.euler import weighted_euler_numbers, weighted_euler_polys
 from weuler.padic import (
     ZERO_VALUATION_GUARD,
-    PadicNumber,
     convergence_report,
     exact_integral,
-    fermionic_partial_sum,
     is_admissible_weight,
     is_odd_prime,
-    padic_from_rational,
     partial_sums,
     shift_identity_check,
     vp_fraction,
@@ -78,68 +75,6 @@ class TestAdmissibility:
         assert not is_admissible_weight(Fraction(1, 3), 3)
 
 
-class TestPadicNumber:
-    def test_repr_and_fields(self):
-        a = padic_from_rational(Fraction(5, 27), 3, 6)
-        assert str(a) == "3^-3 * 5 + O(3^3)"
-        assert a.valuation == -3 and a.precision == 6
-
-    def test_negative_rational(self):
-        b = padic_from_rational(Fraction(-7), 3, 6)
-        assert b.valuation == 0 and b.unit == 722  # 3^6 - 7
-
-    def test_p_in_denominator_gives_negative_valuation(self):
-        a = padic_from_rational(Fraction(1, 3), 3, 5)
-        assert a.valuation == -1 and a.unit == 1
-
-    def test_arithmetic_with_negative_valuations(self):
-        # 5/27 + 22/27 = 1, staying in exact integers throughout
-        a = padic_from_rational(Fraction(5, 27), 3, 8)
-        b = padic_from_rational(Fraction(22, 27), 3, 8)
-        assert a + b == padic_from_rational(Fraction(1), 3, 5)
-        assert a * b == padic_from_rational(Fraction(110, 729), 3, 5)
-        assert b - a == padic_from_rational(Fraction(17, 27), 3, 5)
-
-    def test_ring_operations_match_rationals(self):
-        x = padic_from_rational(Fraction(2), 3, 4)
-        y = padic_from_rational(Fraction(7), 3, 4)
-        assert x * y == padic_from_rational(Fraction(14), 3, 4)
-        assert x + y == padic_from_rational(Fraction(9), 3, 4)
-        assert x - y == padic_from_rational(Fraction(-5), 3, 4)
-
-    def test_equality_is_precision_relative(self):
-        # 1 and 1 + 3^4 agree to absolute precision 4
-        a = padic_from_rational(Fraction(1), 3, 4)
-        b = padic_from_rational(Fraction(1 + 81), 3, 4)
-        assert a == b
-        c = padic_from_rational(Fraction(1 + 27), 3, 4)
-        assert a != c
-
-    def test_zero(self):
-        z = padic_from_rational(Fraction(0), 3, 4)
-        assert z.is_zero()
-        x = padic_from_rational(Fraction(5), 3, 4)
-        assert (x - x).is_zero()
-        assert x + z == x
-
-    def test_hash_unsupported(self):
-        with pytest.raises(TypeError):
-            hash(padic_from_rational(Fraction(1), 3, 4))
-
-    @given(
-        st.fractions(max_denominator=20),
-        st.fractions(max_denominator=20),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_homomorphism(self, a, b):
-        if a.denominator % 3 == 0 or b.denominator % 3 == 0:
-            return
-        pa = padic_from_rational(a, 3, 8)
-        pb = padic_from_rational(b, 3, 8)
-        assert pa + pb == padic_from_rational(a + b, 3, 8)
-        assert pa * pb == padic_from_rational(a * b, 3, 8)
-
-
 class TestPartialSums:
     def test_level_one_by_hand(self):
         # sum_{a<3} 4^a (-1)^a = 1 - 4 + 16
@@ -169,10 +104,6 @@ class TestPartialSums:
             for m, s in enumerate(sums, start=1):
                 N = p**m
                 assert s == (number + w**N * poly.eval_at(Fraction(N))) / 2
-
-    def test_padic_wrapper(self):
-        s = fermionic_partial_sum([Fraction(1)], Fraction(4), 3, 1, 8)
-        assert s == padic_from_rational(Fraction(13), 3, 8)
 
 
 class TestConvergence:

@@ -17,7 +17,6 @@ from weuler.ratfunc import (
     QW,
     W,
     Polynomial,
-    WPolynomial,
     WRational,
     binary_power,
     binomial,
@@ -40,7 +39,7 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
 def polys(max_degree=3):
     return st.lists(small_fracs, min_size=1, max_size=max_degree + 1).map(
-        lambda cs: WPolynomial(QQ, tuple(cs), "w")
+        lambda cs: Polynomial(QQ, tuple(cs), "w")
     )
 
 
@@ -48,7 +47,7 @@ def mixed_polys(max_degree):
     """Polynomials in w whose coefficients have assorted denominators."""
     coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=36)
     return st.lists(coeffs, min_size=1, max_size=max_degree + 1).map(
-        lambda cs: WPolynomial(QQ, tuple(cs), "w")
+        lambda cs: Polynomial(QQ, tuple(cs), "w")
     )
 
 
@@ -118,7 +117,7 @@ class TestCanonicalForm:
 
 
 def wpoly(*coeffs):
-    return WPolynomial(QQ, coeffs, "w")
+    return Polynomial(QQ, coeffs, "w")
 
 
 class TestOnePlusWPowerPath:
@@ -192,8 +191,8 @@ class TestOnePlusWPowerPath:
         def forbidden(*args, **kwargs):
             raise AssertionError("the (1 + w)^m path evaluated or long-divided")
 
-        monkeypatch.setattr(WPolynomial, "eval_at", forbidden)
-        monkeypatch.setattr(WPolynomial, "divexact", forbidden)
+        monkeypatch.setattr(Polynomial, "eval_at", forbidden)
+        monkeypatch.setattr(Polynomial, "divexact", forbidden)
         got = WRational(num, den)
         assert got.den.degree == left
         assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
@@ -247,7 +246,7 @@ class TestSharedDenominatorSum:
         def forbidden(*args, **kwargs):
             raise AssertionError("a shared-denominator sum multiplied polynomials")
 
-        monkeypatch.setattr(WPolynomial, "__mul__", forbidden)
+        monkeypatch.setattr(Polynomial, "__mul__", forbidden)
         assert str(op(a, b)) == want
 
 
@@ -354,8 +353,8 @@ class TestEvaluation:
 
 class TestPolynomialHelpers:
     def test_poly_gcd_primitive(self):
-        a = WPolynomial(QQ, (frac(-1), frac(0), frac(1)), "w")  # w^2 - 1
-        b = WPolynomial(QQ, (frac(2), frac(2)), "w")  # 2w + 2
+        a = Polynomial(QQ, (frac(-1), frac(0), frac(1)), "w")  # w^2 - 1
+        b = Polynomial(QQ, (frac(2), frac(2)), "w")  # 2w + 2
         g = poly_gcd(a, b)
         assert str(g) == "w + 1"
 
@@ -364,8 +363,8 @@ class TestPolynomialHelpers:
         assert one_plus_w_pow(0).is_one()
 
     def test_divmod(self):
-        a = WPolynomial(QQ, (frac(-1), frac(0), frac(1)), "w")
-        q, r = a.divmod(WPolynomial(QQ, (frac(1), frac(1)), "w"))
+        a = Polynomial(QQ, (frac(-1), frac(0), frac(1)), "w")
+        q, r = a.divmod(Polynomial(QQ, (frac(1), frac(1)), "w"))
         assert str(q) == "w - 1" and r.is_zero()
 
     def test_monomial_rejects_a_negative_exponent(self):
@@ -441,7 +440,7 @@ class TestOnePolynomialType:
         field = data.draw(st.sampled_from([QQ, QW]))
         element_type = Fraction if field is QQ else WRational
         scalars = self.scalars(field)
-        poly = st.lists(scalars, max_size=4).map(lambda cs: WPolynomial(field, cs))
+        poly = st.lists(scalars, max_size=4).map(lambda cs: Polynomial(field, cs))
         p, q = data.draw(poly), data.draw(poly)
         c = data.draw(scalars)
         results = [

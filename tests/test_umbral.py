@@ -12,7 +12,6 @@ from weuler.ratfunc import QQ, QW, W, Polynomial
 from weuler.series import Series, exp_series
 from weuler.umbral import (
     ShefferPair,
-    XPolynomial,
     appell_basis,
     apply_functional,
     biorthogonality_check,
@@ -23,7 +22,7 @@ from weuler.umbral import (
 
 
 def P(coeffs):
-    return XPolynomial(QQ, tuple(Fraction(c) for c in coeffs))
+    return Polynomial(QQ, tuple(Fraction(c) for c in coeffs))
 
 
 def xpow(n):
@@ -252,7 +251,7 @@ class TestSheffer:
         basis = sheffer_basis(pair, 6)
         p = P([2, 0, 5, -1, Fraction(1, 3)])
         lams = expand_in_basis(p, pair, basis)
-        rebuilt = XPolynomial(QQ, (Fraction(0),))
+        rebuilt = Polynomial(QQ, (Fraction(0),))
         for lam, s in zip(lams, basis):
             rebuilt = rebuilt + s.scale(lam)
         assert rebuilt == p
@@ -263,7 +262,7 @@ class TestSheffer:
         pair = self.pair()
         basis = sheffer_basis(pair, 6)
         lams = expand_in_basis(p, pair, basis)
-        rebuilt = XPolynomial(QQ, (Fraction(0),))
+        rebuilt = Polynomial(QQ, (Fraction(0),))
         for lam, s in zip(lams, basis):
             rebuilt = rebuilt + s.scale(lam)
         assert rebuilt == p

@@ -30,7 +30,6 @@ from .euler import (
     verify_paper_suite,
     weighted_euler_gf,
     weighted_euler_numbers,
-    weighted_euler_polys,
 )
 from .padic import (
     ConvergenceReport,
@@ -74,7 +73,6 @@ __all__ = [
     "Report",
     "weighted_euler_gf",
     "weighted_euler_numbers",
-    "weighted_euler_polys",
     "classical_euler_polys",
     "order_k_multinomial",
     "verify_paper_suite",

@@ -84,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_padic.add_argument("--poly", required=True, metavar="COEFFS",
                          help="comma-separated rational coefficients, constant first")
     p_padic.add_argument("--levels", type=int, required=True, metavar="L")
-    p_padic.add_argument("--prec", type=int, required=True, metavar="M")
+    p_padic.add_argument("--prec", type=int, required=True, metavar="M",
+                         help="sets only the lower bound 4*M shown for an exactly-zero "
+                              "deviation; it is not a working precision")
     add_common(p_padic)
 
     return parser
@@ -216,9 +218,7 @@ def _run_padic(args):
             "convergence": convergence.to_json(),
             "shift": shift.to_json(),
         },
-        # an exactly-zero deviation shows its guard as a lower bound, as in text
-        lambda: (f"{r.level} & $\\geq {r.deviation_valuation}$" if r.exact_zero
-                 else f"{r.level} & {r.deviation_valuation}" for r in convergence.rows),
+        convergence.latex_rows,
         lambda: convergence.render_text() + "\n\nshift identity:\n" + shift.render_text(),
     )
 

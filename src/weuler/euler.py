@@ -66,16 +66,6 @@ def weighted_euler_numbers(count: int, w=None) -> list:
     return numbers
 
 
-def order_k_numbers(count: int, order: int = 1, w=None) -> list:
-    """E^{(k)}_{n,w} = n! [t^n] of the order-k generating function."""
-    return list(EulerTable.build(count, order, w).numbers)
-
-
-def weighted_euler_polys(count: int, order: int = 1, w=None) -> list[Polynomial]:
-    """E^{(k)}_{n,w}(x) = sum_l C(n,l) x^l E^{(k)}_{n-l,w}."""
-    return list(EulerTable.build(count, order, w).polys)
-
-
 def _polys_from_numbers(field, numbers: Sequence) -> list[Polynomial]:
     polys = []
     for n in range(len(numbers)):
@@ -137,10 +127,6 @@ class EulerTable:
         if self._polys is None:
             self._polys = tuple(_polys_from_numbers(self.field, self.numbers))
         return self._polys
-
-    def w_value(self):
-        """w as a field element: the indeterminate, or the chosen rational."""
-        return W if self.w0 is None else QQ.of(self.w0)
 
     def evaluate(self, w0) -> "EulerTable":
         """Specialize a symbolic table's numbers at w = w0."""
@@ -231,7 +217,7 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None, 
         raise ValueError("order must be at least 1")
     field, _ = _field_and_w(w)
     if order_k is None:
-        order_k = order_k_numbers(n + 1, order, w)
+        order_k = EulerTable.build(n + 1, order, w).numbers
     if numbers is None:
         numbers = weighted_euler_numbers(n + 1, w)
     if products is None:
@@ -310,8 +296,9 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     of (n, k, difference) cases, consumed only up to its first failure.
 
     The tables invert g = (w e^t + 1)/2, then take powers of the inverse.
-    Checks (g) and (h) take the other route to GF^k: the power g^k, then its
-    inverse.  Checks (e) and (f) use the order-1 GF, g inverted here.
+    Checks (g) and (h) take the other route to GF^k for k >= 2: the power
+    g^k, then its inverse.  At k = 1 both routes are the one inverse of g,
+    so GF^1, which checks (c), (e), (f) and (j) also read, is the chain's.
     """
     if max_n < 2 or max_k < 1:
         raise ValueError("need max_n >= 2 and max_k >= 1")
@@ -329,11 +316,10 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     tables = {k: supplied[k] if k in supplied else chain.table(k) for k in orders}
 
     t1 = tables[1]
-    field = t1.field
-    wv = t1.w_value()
+    field, wv = _field_and_w(w0)
     precision = max_n + 1
     g = gf_denominator(precision, w=w0)
-    gf = g.inverse()
+    gf = chain.power(1)
     # GF^k = (g^k)^{-1}, shared by checks (g) and (h)
     gf_powers = {1: gf}
     gk = g
@@ -353,7 +339,7 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     def operator_recurrence():
         # (c) E_{n+1} = x E_n - (g'/g) E_n, the ratio truncated to precision n+2
-        ratio_full = g.derivative() * gf.truncate(precision - 1)
+        ratio_full = g.derivative() * gf
         x = Polynomial.variable(field)
         for n in range(max_n - 1):
             ratio = ratio_full.truncate(n + 2)

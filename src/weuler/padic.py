@@ -11,12 +11,13 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .euler import weighted_euler_numbers
 from .ratfunc import QQ, QW, W, Polynomial
 
-# reported valuation for a deviation that is exactly zero: a true infinity is
-# unrepresentable, so stand in with a sentinel well above any honest valuation
+# an exactly-zero deviation has no valuation; a report shows it as the lower
+# bound ZERO_VALUATION_GUARD * M, well above any honest valuation
 ZERO_VALUATION_GUARD = 4
 
 
@@ -139,44 +140,49 @@ def _truncated_text(r: Fraction) -> str:
 class LevelRow:
     level: int
     partial_sum: Fraction
-    deviation_valuation: int
-    exact_zero: bool
+    deviation_valuation: Optional[int]     # None: the deviation is exactly zero
 
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "partial_sum": _truncated_text(self.partial_sum),
-            "valuation": self.deviation_valuation,
-            "exact_zero": self.exact_zero,
-        }
+    @property
+    def exact_zero(self) -> bool:
+        return self.deviation_valuation is None
 
 
-def _deviation_rows(sums: list[Fraction], target: Fraction, p: int, M: int) -> list[LevelRow]:
-    rows = []
-    for m, s in enumerate(sums, start=1):
-        dev = s - target
-        if dev == 0:
-            rows.append(LevelRow(m, s, M * ZERO_VALUATION_GUARD, True))
-        else:
-            rows.append(LevelRow(m, s, vp_fraction(dev, p), False))
-    return rows
+def _deviation_rows(sums: list[Fraction], target: Fraction, p: int) -> list[LevelRow]:
+    return [LevelRow(m, s, None if s == target else vp_fraction(s - target, p))
+            for m, s in enumerate(sums, start=1)]
 
 
 class _LevelReport:
-    """What the two reports share: their per-level deviation rows."""
+    """What the two reports share: their per-level deviation rows, and the
+    lower bound zero_bound = ZERO_VALUATION_GUARD * M that text, json and
+    latex show in place of an exactly-zero deviation's valuation."""
 
     rows: list[LevelRow]
+    zero_bound: int
 
     @property
-    def valuations(self) -> list[int]:
+    def valuations(self) -> list[Optional[int]]:
         return [r.deviation_valuation for r in self.rows]
+
+    def _levels_json(self) -> list[dict]:
+        return [{
+            "level": r.level,
+            "partial_sum": _truncated_text(r.partial_sum),
+            "valuation": self.zero_bound if r.exact_zero else r.deviation_valuation,
+            "exact_zero": r.exact_zero,
+        } for r in self.rows]
 
     def _level_lines(self, width: int) -> list[str]:
         lines = []
         for r in self.rows:
-            v = f">= {r.deviation_valuation}" if r.exact_zero else str(r.deviation_valuation)
+            v = f">= {self.zero_bound}" if r.exact_zero else str(r.deviation_valuation)
             lines.append(f"{r.level:>5}  {v:>{width}}  {_truncated_text(r.partial_sum)}")
         return lines
+
+    def latex_rows(self):
+        """One `level & valuation` row per level, an exact zero as its lower bound."""
+        return (f"{r.level} & $\\geq {self.zero_bound}$" if r.exact_zero
+                else f"{r.level} & {r.deviation_valuation}" for r in self.rows)
 
 
 @dataclass
@@ -185,13 +191,14 @@ class ConvergenceReport(_LevelReport):
     w: Fraction
     target: Fraction
     rows: list[LevelRow]
+    zero_bound: int
 
     def to_json(self) -> dict:
         return {
             "p": self.p,
             "w": str(self.w),
             "target": _truncated_text(self.target),
-            "levels": [r.to_json() for r in self.rows],
+            "levels": self._levels_json(),
         }
 
     def render_text(self) -> str:
@@ -206,7 +213,7 @@ def convergence_report(f, w, p: int, levels: int, M: int) -> ConvergenceReport:
     f = _coerce_poly(f)
     sums = partial_sums(f, w, p, levels)
     target = exact_integral(f, w=w)
-    return ConvergenceReport(p, w, target, _deviation_rows(sums, target, p, M))
+    return ConvergenceReport(p, w, target, _deviation_rows(sums, target, p), M * ZERO_VALUATION_GUARD)
 
 
 @dataclass
@@ -217,6 +224,7 @@ class ShiftReport(_LevelReport):
     symbolic_difference: str
     expected: Fraction            # 2 f(0)
     rows: list[LevelRow]          # deviations D_m = w S_m(f1) + S_m(f) - 2 f(0)
+    zero_bound: int
 
     def to_json(self) -> dict:
         return {
@@ -225,7 +233,7 @@ class ShiftReport(_LevelReport):
             "symbolic": "pass" if self.symbolic_ok else "fail",
             "symbolic_difference": self.symbolic_difference,
             "expected": str(self.expected),
-            "levels": [r.to_json() for r in self.rows],
+            "levels": self._levels_json(),
         }
 
     def render_text(self) -> str:
@@ -256,5 +264,5 @@ def shift_identity_check(f, w, p: int, levels: int, M: int, sums=None) -> ShiftR
     sums_f1 = partial_sums(f1, w, p, levels)
     expected = 2 * f.eval_at(0)
     combos = [w * s1 + s0 for s0, s1 in zip(sums_f, sums_f1)]
-    rows = _deviation_rows(combos, expected, p, M)
-    return ShiftReport(p, w, symbolic_ok, QW.render(symbolic), expected, rows)
+    rows = _deviation_rows(combos, expected, p)
+    return ShiftReport(p, w, symbolic_ok, QW.render(symbolic), expected, rows, M * ZERO_VALUATION_GUARD)

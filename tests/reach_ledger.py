@@ -47,7 +47,6 @@ DISPLAY = "display in a session or in a failed assertion"
 ROUND_TRIP = "parser round-trip oracle: renders a parsed .uid line back to text"
 ERROR = "error path: only a .uid line that fails to parse or to evaluate reaches it"
 GCD = "gcd path: WRational divides when a gcd is not 1, which no CLI run meets (item 11)"
-THIN = "library surface: a thin reader of EulerTable.build, kept for callers of the package"
 REASONS = {
     "cli._check_writable": "outside-input check: rejects an unwritable --out path; the ledger writes to stdout",
     "dsl.Binom.render": ROUND_TRIP,
@@ -68,9 +67,7 @@ REASONS = {
     "dsl.render_expr": ROUND_TRIP,
     "dsl.render_identity": ROUND_TRIP,
     "euler.EulerTable.with_perturbed_number": "fault injection: criterion 2 perturbs each table entry with it",
-    "euler.order_k_numbers": THIN,
-    "euler.weighted_euler_gf": THIN + "; criterion 1's series route",
-    "euler.weighted_euler_polys": THIN,
+    "euler.weighted_euler_gf": "library surface: the one public name for the GF series; criterion 1's series route",
     "padic._LevelReport.valuations": "library surface: criterion 6 and the README example read it",
     "ratfunc.Polynomial.__eq__": PROTOCOL,
     "ratfunc.Polynomial.__hash__": PROTOCOL,

@@ -20,7 +20,6 @@ from weuler.euler import (
     verify_paper_suite,
     weighted_euler_gf,
     weighted_euler_numbers,
-    weighted_euler_polys,
 )
 from weuler.padic import convergence_report, shift_identity_check
 from weuler.ratfunc import QQ
@@ -86,7 +85,7 @@ def test_criterion_3_sheffer_engine_cross_check(capsys):
         g = gf_denominator(14) ** k
         pair = ShefferPair(g, Series.monomial(g.field, 1, 14))
         basis = sheffer_basis(pair, 12)
-        direct = weighted_euler_polys(12, order=k)
+        direct = list(EulerTable.build(12, order=k).polys)
         if basis != direct:
             problems.append(f"basis mismatch at k = {k}")
             continue
@@ -127,9 +126,9 @@ def test_criterion_4_reversion_soundness(capsys):
 
 def test_criterion_5_classical_reduction(capsys):
     classical = classical_euler_polys(13)
-    direct = weighted_euler_polys(13, w=Fraction(1))
+    direct = EulerTable.build(13, w=Fraction(1)).polys
     direct_ok = all(w.coeffs == c.coeffs for w, c in zip(direct, classical))
-    symbolic = weighted_euler_polys(13)
+    symbolic = EulerTable.build(13).polys
     sym_ok = all(
         [coef.eval_at(Fraction(1)) for coef in w.coeffs] == list(c.coeffs)
         for w, c in zip(symbolic, classical)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weuler.euler import weighted_euler_numbers, weighted_euler_polys
+from weuler.euler import EulerTable, weighted_euler_numbers
 from weuler.padic import (
     ZERO_VALUATION_GUARD,
     convergence_report,
@@ -99,7 +99,7 @@ class TestPartialSums:
         for p, w, n, levels in cases:
             f = [Fraction(0)] * n + [Fraction(1)]
             sums = partial_sums(f, w, p, levels)
-            poly = weighted_euler_polys(n + 1, w=w)[n]
+            poly = EulerTable.build(n + 1, w=w).polys[n]
             number = weighted_euler_numbers(n + 1, w=w)[n]
             for m, s in enumerate(sums, start=1):
                 N = p**m
@@ -113,10 +113,12 @@ class TestConvergence:
         assert rep.target == Fraction(2, 5)
 
     def test_exact_zero_sentinel(self):
-        # w = 1, f = 1: every partial sum is exactly the integral (= 1)
+        # w = 1, f = 1: every partial sum is exactly the integral (= 1); a zero
+        # deviation has no valuation, and only the rendering shows its bound 4*M
         rep = convergence_report([Fraction(1)], Fraction(1), 3, 3, 5)
         assert all(r.exact_zero for r in rep.rows)
-        assert rep.valuations == [5 * ZERO_VALUATION_GUARD] * 3
+        assert rep.valuations == [None] * 3
+        assert [row["valuation"] for row in rep.to_json()["levels"]] == [5 * ZERO_VALUATION_GUARD] * 3
 
     def test_inadmissible_weight_rejected(self):
         with pytest.raises(ValueError, match="requires"):

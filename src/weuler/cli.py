@@ -6,10 +6,11 @@ the LaTeX rows without their row terminator, and the text.  `main` resolves
 the format, renders only the one asked for, and writes it once.
 
 Exit codes: 0 success or all-pass, 1 identity violation, 2 usage or parse
-error (also an --out path that cannot be written, rejected before any work),
-3 runtime error (an evaluation error, a .uid range that --max-n leaves empty,
-or any failure after the arguments were accepted).  Output is deterministic;
-the default format comes from WEULER_FORMAT (text unless overridden).
+error (also an --out path that cannot be written, rejected before any work,
+and a .uid file that cannot be read or is not UTF-8), 3 runtime error (an
+evaluation error, a .uid range that --max-n leaves empty, or any failure
+after the arguments were accepted).  Output is deterministic; the default
+format comes from WEULER_FORMAT (text unless overridden).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .dsl import check_corpus
 from .euler import EulerTable, verify_paper_suite
 from .padic import convergence_report, is_admissible_weight, is_odd_prime, shift_identity_check
-from .ratfunc import Polynomial
+from .ratfunc import Polynomial, exact_text
 
 FORMATS = ("text", "json", "latex")
 
@@ -143,7 +144,7 @@ def _run_table(args):
         lambda: {
             "maxN": args.max_n,
             "order": table.order,
-            "w": None if table.w0 is None else str(table.w0),
+            "w": None if table.w0 is None else exact_text(table.w0),
             "values": [to_json(v) for v in values],
         },
         lambda: (f"{n} & ${latex(v)}$" for n, v in enumerate(values)),
@@ -177,6 +178,8 @@ def _run_check(args):
             corpus = handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.file}: {exc.strerror}")
+    except UnicodeDecodeError as exc:     # a ValueError, not an OSError
+        raise UsageError(f"cannot read {args.file}: {exc}")
     verdicts = check_corpus(corpus, max_n=args.max_n)
     statuses = {v.status for v in verdicts}
     code = (EXIT_USAGE if any(v.location is not None for v in verdicts)   # a parse error
@@ -200,7 +203,7 @@ def _run_padic(args):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     w = _parse_rational(args.w, "--w")
     if not is_admissible_weight(w, args.p):
-        raise UsageError(f"weight w = {w} requires |1-w|_p < 1 for p = {args.p}")
+        raise UsageError(f"weight w = {exact_text(w)} requires |1-w|_p < 1 for p = {args.p}")
     coeffs = [_parse_rational(c, "--poly entry") for c in args.poly.split(",")]
     if args.levels < 1 or args.prec < 1:
         raise UsageError("--levels and --prec must be at least 1")
@@ -211,8 +214,8 @@ def _run_padic(args):
         EXIT_OK if shift.symbolic_ok else EXIT_VIOLATION,
         lambda: {
             "p": args.p,
-            "w": str(w),
-            "poly": [str(c) for c in coeffs],
+            "w": exact_text(w),
+            "poly": [exact_text(c) for c in coeffs],
             "levels": args.levels,
             "precision": args.prec,
             "convergence": convergence.to_json(),

@@ -19,6 +19,7 @@ expression without E or Ek, such as a number or polynomial the CLI prints.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -56,59 +57,39 @@ class Token:
     column: int
 
 
-_SYMBOLS = ("..", "+", "-", "*", "/", "^", "(", ")", ",", ":", "=")
+# For str patterns \s is str.isspace(), \d str.isdecimal() (isdigit() also
+# takes ² and ①, which int() refuses) and \w isalnum() or "_".  A comment
+# runs to the end of its line.
+_TOKEN = re.compile(r"(?P<newline>\n)|(?P<space>\s)|(?P<comment>#[^\n]*)|(?P<int>\d+)"
+                    r"|(?P<word>\w+)|(?P<symbol>\.\.|[-+*/^(),:=])")
 
 
 def tokenize(text: str, line: int = 1) -> list[Token]:
     tokens = []
-    col = 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":               # a comment runs to the end of its line
-            end = text.find("\n", i)
-            i = len(text) if end < 0 else end
-            continue
-        if ch.isdecimal():          # isdigit() also takes ² and ①, which int() refuses
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
+    pos = line_start = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        kind = match and match.lastgroup
+        column = pos - line_start + 1
+        # \w also takes ², ① and ½; a word starts with a letter or "_"
+        if kind is None or kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise DslParseError(f"unexpected character {text[pos]!r}", line, column)
+        word, pos = match.group(), match.end()
+        if kind == "newline":
+            line, line_start = line + 1, pos
+        elif kind == "int":
             try:
-                int(text[i:j])      # past sys.get_int_max_str_digits(), int() refuses it
+                int(word)           # past sys.get_int_max_str_digits(), int() refuses it
             except ValueError:
-                raise DslParseError(f"integer literal of {j - i} digits is too long",
-                                    line, col) from None
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise DslParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+                raise DslParseError(f"integer literal of {len(word)} digits is too long",
+                                    line, column) from None
+            tokens.append(Token("int", word, line, column))
+        elif kind == "word":
+            tokens.append(Token(word if word in KEYWORDS else "ident", word, line, column))
+        elif kind == "symbol":
+            tokens.append(Token(word, word, line, column))
+    # the end of input sits where its line's comment, if any, begins
+    tokens.append(Token("end", "", line, len(text[line_start:].partition("#")[0]) + 1))
     return tokens
 
 
@@ -677,11 +658,6 @@ def _reach(ast: Identity, max_n: Optional[int]) -> int:
                 for side in (ast.lhs, ast.rhs)), default=-1)
 
 
-def _chain_through(reach: int) -> Optional[TableChain]:
-    """The tables of every order through index `reach`; None if no table is read."""
-    return TableChain(reach + 1) if reach >= 0 else None
-
-
 def _check(ast: Identity, max_n: Optional[int], tables: Optional[TableChain]) -> Verdict:
     """The verdict of an identity read from tables that reach every index it asks for."""
     hi = _checked_top(ast, max_n)
@@ -701,13 +677,23 @@ def _check(ast: Identity, max_n: Optional[int], tables: Optional[TableChain]) ->
     return Verdict("pass", ast.source)
 
 
+def _check_all(items: list, max_n: Optional[int]) -> list[Verdict]:
+    """The verdict of each Identity in items, read from one TableChain through
+    the largest index any of them asks for; Verdicts in items pass through."""
+    reach = -1
+    for i, item in enumerate(items):
+        if isinstance(item, Identity):
+            try:
+                reach = max(reach, _reach(item, max_n))
+            except RecursionError:
+                items[i] = Verdict("error", item.source, message=TOO_DEEP)
+    tables = TableChain(reach + 1) if reach >= 0 else None
+    return [item if isinstance(item, Verdict) else _check(item, max_n, tables) for item in items]
+
+
 def check_identity(ast: Identity, max_n: Optional[int] = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
-    try:
-        reach = _reach(ast, max_n)
-    except RecursionError:
-        return Verdict("error", ast.source, message=TOO_DEEP)
-    return _check(ast, max_n, _chain_through(reach))
+    return _check_all([ast], max_n)[0]
 
 
 def check_corpus(text: str, max_n: Optional[int] = None) -> list[Verdict]:
@@ -725,12 +711,4 @@ def check_corpus(text: str, max_n: Optional[int] = None) -> list[Verdict]:
         except DslParseError as exc:
             parsed.append(Verdict("error", stripped, message=str(exc),
                                   location=(exc.line, exc.column)))
-    reach = -1
-    for i, item in enumerate(parsed):
-        if isinstance(item, Identity):
-            try:
-                reach = max(reach, _reach(item, max_n))
-            except RecursionError:
-                parsed[i] = Verdict("error", item.source, message=TOO_DEEP)
-    tables = _chain_through(reach)
-    return [item if isinstance(item, Verdict) else _check(item, max_n, tables) for item in parsed]
+    return _check_all(parsed, max_n)

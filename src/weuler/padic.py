@@ -8,13 +8,12 @@ here.  Weights must satisfy |1-w|_p < 1 and p must be an odd prime.
 
 from __future__ import annotations
 
-import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .euler import weighted_euler_numbers
-from .ratfunc import QQ, QW, W, Polynomial
+from .ratfunc import QQ, QW, W, Polynomial, exact_text
 
 # an exactly-zero deviation has no valuation; a report shows it as the lower
 # bound ZERO_VALUATION_GUARD * M, well above any honest valuation
@@ -122,15 +121,9 @@ def exact_integral(f, w=None):
     return acc
 
 
-def _exact_text(r: Fraction) -> str:
-    """str(r) for any size: Decimal renders an int exactly, with no int_max_str_digits limit."""
-    num = str(decimal.Decimal(r.numerator))
-    return num if r.denominator == 1 else f"{num}/{decimal.Decimal(r.denominator)}"
-
-
 def _truncated_text(r: Fraction) -> str:
     """Exact text of r, cut to its first and last 12 characters when over 48."""
-    text = _exact_text(r)
+    text = exact_text(r)
     if len(text) <= 48:
         return text
     return f"{text[:12]}...{text[-12:]} ({len(text)} chars)"
@@ -196,13 +189,14 @@ class ConvergenceReport(_LevelReport):
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "w": str(self.w),
+            "w": exact_text(self.w),
             "target": _truncated_text(self.target),
             "levels": self._levels_json(),
         }
 
     def render_text(self) -> str:
-        lines = [f"p = {self.p}, w = {self.w}, exact value = {_truncated_text(self.target)}"]
+        lines = [f"p = {self.p}, w = {exact_text(self.w)}, "
+                 f"exact value = {_truncated_text(self.target)}"]
         lines.append(f"{'level':>5}  {'v_p(S_m - exact)':>16}  partial sum")
         return "\n".join(lines + self._level_lines(16))
 
@@ -229,17 +223,17 @@ class ShiftReport(_LevelReport):
     def to_json(self) -> dict:
         return {
             "p": self.p,
-            "w": str(self.w),
+            "w": exact_text(self.w),
             "symbolic": "pass" if self.symbolic_ok else "fail",
             "symbolic_difference": self.symbolic_difference,
-            "expected": str(self.expected),
+            "expected": exact_text(self.expected),
             "levels": self._levels_json(),
         }
 
     def render_text(self) -> str:
         sym = "holds" if self.symbolic_ok else f"FAILS, difference {self.symbolic_difference}"
         lines = [
-            f"p = {self.p}, w = {self.w}",
+            f"p = {self.p}, w = {exact_text(self.w)}",
             f"symbolic identity w*I(f(.+1)) + I(f) = 2 f(0): {sym}",
             f"{'level':>5}  {'v_p(D_m)':>9}  combination value",
         ]

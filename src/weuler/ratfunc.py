@@ -9,6 +9,7 @@ values decides equality in the field Q(w).
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -309,6 +310,17 @@ def _wpoly(coeffs) -> Polynomial:
     return _make(QQ, list(coeffs), "w")
 
 
+def exact_text(value) -> str:
+    """str(value) of an int or Fraction of any size.  Past int_max_str_digits
+    str raises, and Decimal renders the integers exactly instead."""
+    try:
+        return str(value)
+    except ValueError:
+        value = Fraction(value)
+        num = str(decimal.Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{decimal.Decimal(value.denominator)}"
+
+
 def join_signed(terms) -> str:
     """Join (negative, body) pairs as ``a - b + c``; ``0`` when there are none."""
     parts: list[str] = []
@@ -329,7 +341,7 @@ def poly_text(coeffs, latex: bool = False) -> str:
         if c == 0:
             continue
         mag = abs(c)
-        mag_text = QQ.latex(mag) if latex else str(mag)
+        mag_text = QQ.latex(mag) if latex else exact_text(mag)
         if k == 0:
             body = mag_text
         else:
@@ -482,14 +494,15 @@ class RationalField:
 
     @staticmethod
     def render(value) -> str:
-        return str(value)
+        return exact_text(value)
 
     @staticmethod
     def latex(value: Fraction) -> str:
         if value.denominator == 1:
-            return str(value.numerator)
+            return exact_text(value.numerator)
         sign = "-" if value < 0 else ""
-        return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+        return (f"{sign}\\frac{{{exact_text(abs(value.numerator))}}}"
+                f"{{{exact_text(value.denominator)}}}")
 
 
 QQ = RationalField()
@@ -684,10 +697,10 @@ class WRational:
             self.num.scale(q), parenthesize_sums=q > 1 or not self.den.is_one()
         )
         if self.den.is_one():
-            return num_text if q == 1 else f"{num_text}/{q}"
+            return num_text if q == 1 else f"{num_text}/{exact_text(q)}"
         den_text = _denominator_text(self.den)
         if q > 1:
-            den_text = f"({q}*{den_text})"
+            den_text = f"({exact_text(q)}*{den_text})"
         return f"{num_text}/{den_text}"
 
     def __repr__(self) -> str:
@@ -720,10 +733,8 @@ def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:
         m += 1
     factors: list[str] = []
     mag = abs(content)
-    if m == 0 and reduced.is_one():
-        factors.append(str(mag))
-    elif mag != 1:
-        factors.append(str(mag))
+    if m == 0 and reduced.is_one() or mag != 1:
+        factors.append(exact_text(mag))
     if m >= 1:
         factors.append("w" if m == 1 else f"w^{m}")
     if not reduced.is_one():

@@ -1,6 +1,7 @@
 """End-to-end tests for the weuler command line interface."""
 
 import contextlib
+import decimal
 import hashlib
 import importlib.resources
 import io
@@ -202,6 +203,15 @@ class TestCheck:
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 
+    def test_a_file_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        latin1 = tmp_path / "latin1.uid"
+        latin1.write_bytes(b"forall n in 0..2 : x = x # \xff\n")
+        assert main(["check", str(latin1), "--max-n", "2"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"weuler: error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xff")
+
     def test_bad_literals_are_parse_errors(self, capsys, uid_dir):
         # the other lines are still checked, and the parse errors set the exit
         argv = ["check", str(uid_dir / "digits.uid"), "--max-n", "2"]
@@ -326,6 +336,60 @@ class TestPadic:
     def test_inadmissible_weight_rejected(self, capsys):
         run(capsys, ["padic", "--p", "3", "--w", "3", "--poly", "1", "--levels", "2", "--prec", "8"],
             expect=EXIT_USAGE)
+
+
+def big_text(value) -> str:
+    """Exact text of an int or Fraction through Decimal, which has no digit limit."""
+    value = Fraction(value)
+    num = str(decimal.Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{decimal.Decimal(value.denominator)}"
+
+
+class TestValuesOfAnySize:
+    """Exact numbers past int_max_str_digits (4300 digits by default, where
+    str() of an int raises) print in full, in every format."""
+
+    W = 10 ** 3000
+    E0, E1 = Fraction(2, 1 + W), Fraction(-2 * W, (1 + W) ** 2)
+
+    @staticmethod
+    def frac_tex(value: Fraction) -> str:
+        sign = "-" if value < 0 else ""
+        return rf"{sign}\frac{{{big_text(abs(value.numerator))}}}{{{big_text(value.denominator)}}}"
+
+    def test_numbers(self, capsys):
+        argv = ["numbers", "--max-n", "2", "--w", "1e3000"]
+        assert run(capsys, argv) == f"0: {big_text(self.E0)}\n1: {big_text(self.E1)}\n"
+        payload = run_json(capsys, argv)
+        assert payload["w"] == big_text(self.W)
+        assert payload["values"] == [big_text(self.E0), big_text(self.E1)]
+
+    def test_polys_latex(self, capsys):
+        out = run(capsys, ["polys", "--max-n", "2", "--w", "1e3000", "--format", "latex"])
+        e0, e1 = self.frac_tex(self.E0), self.frac_tex(self.E1)
+        assert out.splitlines() == [rf"0 & ${e0}$ \\", rf"1 & ${e0} x + {e1}$ \\"]
+
+    def test_a_check_fails_with_its_whole_difference(self, capsys, tmp_path):
+        corpus = tmp_path / "big.uid"
+        corpus.write_text("forall n in 0..1 : x = x\nforall n in 0..0 : 10^4400 = 0\n")
+        argv = ["check", str(corpus), "--max-n", "1"]
+        assert run(capsys, argv, expect=EXIT_VIOLATION).splitlines() == [
+            "PASS  forall n in 0..1 : x = x",
+            f"FAIL  forall n in 0..0 : 10^4400 = 0  at 0: difference {big_text(10 ** 4400)}"]
+        verdicts = run_json(capsys, argv, expect=EXIT_VIOLATION)["verdicts"]
+        assert verdicts[1]["difference"] == big_text(10 ** 4400)
+
+    def test_padic_echoes_its_arguments(self, capsys):
+        w = big_text(10 ** 5000)
+        argv = ["padic", "--p", "3", "--w", "1e5000", "--poly", "1e5000",
+                "--levels", "1", "--prec", "2"]
+        payload = run_json(capsys, argv)
+        assert payload["w"] == payload["convergence"]["w"] == payload["shift"]["w"] == w
+        assert payload["poly"] == [w] and payload["shift"]["expected"] == big_text(2 * 10 ** 5000)
+        assert run(capsys, argv).splitlines()[0].startswith(f"p = 3, w = {w}, exact value = ")
+        # 2*10^5000 = 2 mod 3 is not admissible; the usage error names it in full
+        assert main(argv[:3] + ["--w", "2e5000"] + argv[5:]) == EXIT_USAGE
+        assert f"weight w = {big_text(2 * 10 ** 5000)} requires" in capsys.readouterr().err
 
 
 class TestPlumbing:

@@ -72,6 +72,42 @@ class TestTokenizer:
     def test_decimal_digits_of_any_script_are_integers(self):
         assert [(t.kind, int(t.text)) for t in tokenize("٢٣")[:-1]] == [("int", 23)]
 
+    @staticmethod
+    def spans(text):
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+
+    def test_other_whitespace_takes_one_column_and_only_newline_ends_a_line(self):
+        # tab, form feed and U+2028 are whitespace; the \r of \r\n is one more column
+        assert self.spans("1\t+\r\n2\x0c*\u2028x") == [
+            ("int", "1", 1, 1), ("+", "+", 1, 3), ("int", "2", 2, 1), ("*", "*", 2, 3),
+            ("x", "x", 2, 5), ("end", "", 2, 6)]
+
+    def test_identifiers_start_with_a_letter_and_go_on_with_any_alphanumeric(self):
+        assert self.spans("α + x²") == [
+            ("ident", "α", 1, 1), ("+", "+", 1, 3), ("ident", "x²", 1, 5), ("end", "", 1, 7)]
+
+    @pytest.mark.parametrize("text, column, char", [
+        ("x + ½", 5, "½"), ("1 . 2", 3, "."), ("0...3", 4, ".")])
+    def test_characters_that_start_no_token(self, text, column, char):
+        with pytest.raises(DslParseError) as err:
+            tokenize(text)
+        assert str(err.value) == f"syntax error at 1:{column}, unexpected character {char!r}"
+
+    def test_the_end_of_input_sits_where_a_trailing_comment_begins(self):
+        assert self.spans("x # c") == [("x", "x", 1, 1), ("end", "", 1, 3)]
+        assert self.spans("x\r\n# c\n  w # d") == [("x", "x", 1, 1), ("w", "w", 3, 3),
+                                                   ("end", "", 3, 5)]
+        with pytest.raises(DslParseError) as err:
+            parse_identity("forall n in 0..2 : x = # no right side")
+        assert (err.value.line, err.value.column) == (1, 24)
+
+    def test_a_range_in_arabic_indic_digits(self):
+        text = "forall n in ٠..٣ : x = x"
+        assert self.spans(text)[3:6] == [("int", "٠", 1, 13), ("..", "..", 1, 14),
+                                         ("int", "٣", 1, 16)]
+        ast = parse_identity(text)
+        assert (ast.lo, ast.hi) == (0, 3)
+
 
 class TestParser:
     def test_render_round_trip(self):
@@ -410,8 +446,9 @@ class TestParseValue:
 # Properties of the parser
 
 
-# the characters of the language, three non-ASCII digits and newlines
-DSL_CHARS = "forallinsumbinomEkwxnij0123456789 ..+-*/^(),:=#\n²①٢"
+# the characters of the language, three non-ASCII digits, newlines, tab and
+# \r, a numeric character that is no digit, and a non-ASCII letter
+DSL_CHARS = "forallinsumbinomEkwxnij0123456789 ..+-*/^(),:=#\n²①٢\t\r½α"
 DSL_WORDS = ["forall ", "n", " in ", "0..3", " : ", "=", "E(n)", "Ek(2, n)", "x", "w", "^",
              "binom(n, i)", "sum(i = 0..n, ", "(", ")", "+", "-", "*", "/", "1/2", ", x + 1", "\n",
              "²"]

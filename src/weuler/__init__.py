@@ -11,7 +11,7 @@ Everything is exact rational arithmetic: no floats anywhere. The core stack is
 * :mod:`weuler.cli`     -- the ``weuler`` command line front end.
 """
 
-from .ratfunc import QQ, QW, W, Polynomial, WRational, binomial, multinomial
+from .ratfunc import QQ, QW, W, Polynomial, WRational, binomial
 from .series import Series, exp_series
 from .umbral import (
     ShefferPair,
@@ -59,7 +59,6 @@ __all__ = [
     "Polynomial",
     "WRational",
     "binomial",
-    "multinomial",
     "Series",
     "exp_series",
     "ShefferPair",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -699,16 +699,19 @@ def check_identity(ast: Identity, max_n: Optional[int] = None) -> Verdict:
 def check_corpus(text: str, max_n: Optional[int] = None) -> list[Verdict]:
     """One verdict per identity line; parse failures become error verdicts.
 
-    Every line reads one TableChain, through the largest index any line asks for.
+    Lines end at "\n" alone, the one line break tokenize counts; every other
+    line break str.splitlines() knows is whitespace inside its line.  A
+    verdict's source is its line without a trailing comment.  Every line reads
+    one TableChain, through the largest index any line asks for.
     """
     parsed = []                    # an Identity, or the error verdict of its line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        source = raw.split("#", 1)[0].strip()
+        if not source:
             continue
         try:
-            parsed.append(parse_identity(raw, line=lineno))
+            parsed.append(replace(parse_identity(raw, line=lineno), source=source))
         except DslParseError as exc:
-            parsed.append(Verdict("error", stripped, message=str(exc),
+            parsed.append(Verdict("error", source, message=str(exc),
                                   location=(exc.line, exc.column)))
     return _check_all(parsed, max_n)

@@ -9,14 +9,12 @@ the two must agree exactly in Q(w).
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ratfunc import QQ, QW, W, Polynomial, binomial, multinomial
+from .ratfunc import QQ, QW, W, Polynomial, binomial
 from .series import Series
 from .umbral import apply_functional, pairing
 
@@ -188,30 +186,24 @@ class TableChain:
 # Convolution identity
 
 
-def _partition_product(parts: tuple, numbers, products: dict):
-    """prod numbers[i] over parts: the product of parts[:-1], times one factor."""
-    out = products.get(parts)
-    if out is None:
-        out = numbers[parts[-1]]
-        if len(parts) > 1:
-            out = _partition_product(parts[:-1], numbers, products) * out
-        products[parts] = out
-    return out
+def binomial_convolution(a: Sequence, b: Sequence, field) -> list:
+    """c_n = sum_i C(n, i) a_i b_(n-i) for n < min(len(a), len(b)), one field.dot per n.
+
+    The c_n are the numbers of the product of the exponential generating
+    functions whose numbers are a and b.
+    """
+    return [field.dot([binomial(n, i) * a[i] for i in range(n + 1)], b[n::-1])
+            for n in range(min(len(a), len(b)))]
 
 
-def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None, products=None):
+def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
     The left side comes from the order-k generating function.  The right is
-    the sum over compositions of n into `order` parts, taken over partitions
-    (parts in nondecreasing order): a term does not change when its parts are
-    reordered, so each partition's term counts once per distinct ordering,
-    multinomial(order; multiplicities).  Each partition's product is its
-    (order - 1)-part prefix's product times its last part's number.
-
-    products caches those products by parts; verify_paper_suite passes one
-    dict to every call of a run, so a product made for one (n, k) serves as
-    a prefix at k + 1.
+    the sum over compositions of n into `order` parts, grouped by its last
+    part n - i: those terms add up to C(n, i) r_i E_{n-i,w}, where r_i is the
+    sum for order - 1 parts at i.  So the right side is the order-1 numbers
+    binomially convolved with themselves order - 1 times.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -220,17 +212,10 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None, 
         order_k = EulerTable.build(n + 1, order, w).numbers
     if numbers is None:
         numbers = weighted_euler_numbers(n + 1, w)
-    if products is None:
-        products = {}
-    lhs = order_k[n]
-    rhs = field.zero
-    for parts in itertools.combinations_with_replacement(range(n + 1), order):
-        if sum(parts) != n:
-            continue
-        term = _partition_product(parts, numbers, products)
-        orderings = multinomial(order, Counter(parts).values())
-        rhs = rhs + (orderings * multinomial(n, parts)) * term
-    return lhs, rhs
+    row = numbers = numbers[:n + 1]
+    for _ in range(order - 1):
+        row = binomial_convolution(row, numbers, field)
+    return order_k[n], row[n]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +302,7 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
 
     t1 = tables[1]
     field, wv = _field_and_w(w0)
-    precision = max_n + 1
-    g = gf_denominator(precision, w=w0)
+    g = gf_denominator(max_n, w=w0)      # no check reads a coefficient past t^(max_n - 1)
     gf = chain.power(1)
     # GF^k = (g^k)^{-1}, shared by checks (g) and (h)
     gf_powers = {1: gf}
@@ -338,11 +322,10 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
                 yield n, k, polys[n].derivative() - polys[n - 1].scale(n)
 
     def operator_recurrence():
-        # (c) E_{n+1} = x E_n - (g'/g) E_n, the ratio truncated to precision n+2
-        ratio_full = g.derivative() * gf
+        # (c) E_{n+1} = x E_n - (g'/g) E_n; acting on E_n reads the ratio to t^n
+        ratio = g.derivative() * gf
         x = Polynomial.variable(field)
         for n in range(max_n - 1):
-            ratio = ratio_full.truncate(n + 2)
             rhs = x * t1.polys[n] - apply_functional(ratio, t1.polys[n])
             yield n, 1, t1.polys[n + 1] - rhs
 
@@ -359,14 +342,14 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
                 yield n, k, tables[k].polys[n] - apply_functional(gf_powers[k], x_pow(n))
 
     def multinomial():
-        # (i) multinomial convolution of the stored numbers, its partition
-        # products shared across n and k
-        products = {}
+        # (i) the stored order-k numbers against the order-1 numbers convolved
+        # k - 1 times: the multinomial sum grouped by its last part
+        row = base = t1.numbers[:max_n]
         for k in orders:
+            if k > 1:
+                row = binomial_convolution(row, base, field)
             for n in range(max_n):
-                lhs, rhs = order_k_multinomial(k, n, w=w0, numbers=t1.numbers,
-                                               order_k=tables[k].numbers, products=products)
-                yield n, k, lhs - rhs
+                yield n, k, tables[k].numbers[n] - row[n]
 
     def basis_expansion():
         # (j) expansion of the GF itself in the basis {g t^k}: the coefficients
@@ -374,7 +357,7 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
         total = Series.zero(field, max_n)
         for k in range(max_n):
             lam = pairing(gf, t1.polys[k]) * Fraction(1, math.factorial(k))
-            total = total + g.truncate(max_n).mul_tk(k).scale(lam)
+            total = total + g.mul_tk(k).scale(lam)
         for n in range(max_n):
             yield n, 1, total.coefficient(n) - gf.coefficient(n)
 

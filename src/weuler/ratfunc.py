@@ -21,17 +21,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def multinomial(n: int, parts) -> int:
-    """n! / (i_1! ... i_m!) when the parts are nonnegative and sum to n, else 0."""
-    parts = tuple(parts)
-    if any(i < 0 for i in parts) or sum(parts) != n:
-        return 0
-    out = math.factorial(n)
-    for i in parts:
-        out //= math.factorial(i)
-    return out
-
-
 def binary_power(base, n: int, one):
     """base^n for n >= 0 by square-and-multiply, starting from `one`.
 

@@ -67,6 +67,7 @@ REASONS = {
     "dsl.render_expr": ROUND_TRIP,
     "dsl.render_identity": ROUND_TRIP,
     "euler.EulerTable.with_perturbed_number": "fault injection: criterion 2 perturbs each table entry with it",
+    "euler.order_k_multinomial": "library entry point: criterion 9 calls it",
     "euler.weighted_euler_gf": "library surface: the one public name for the GF series; criterion 1's series route",
     "padic._LevelReport.valuations": "library surface: criterion 6 and the README example read it",
     "ratfunc.Polynomial.__eq__": PROTOCOL,
@@ -94,6 +95,7 @@ REASONS = {
     "series.Series.one": PROTOCOL,
     "series.Series.order": SHEFFER,
     "series.Series.reverse": SHEFFER,
+    "series.Series.truncate": SHEFFER + "; compose, reverse and sheffer_basis cut series with it",
     "series._wrap": DISPLAY,
     "series.exp_series": SHEFFER,
     "umbral.ShefferPair.__init__": SHEFFER,

@@ -200,6 +200,21 @@ class TestCheck:
         assert [line.split()[0] for line in out.splitlines()] == ["PASS", "ERROR", "PASS", "FAIL"]
         assert out.splitlines()[3].endswith("at 0: difference 2/(1 + w)")
 
+    def test_verdicts_print_their_lines_without_comments(self, capsys, tmp_path):
+        commented = tmp_path / "commented.uid"
+        commented.write_text("forall n in 0..2 : x = x  # trivial\n"
+                             "forall n in 0..2 : x = x + 1  # off by one\n"
+                             "forall n in 0..2 : x +  # unfinished\n")
+        argv = ["check", str(commented), "--max-n", "2"]
+        assert run(capsys, argv, expect=EXIT_USAGE).splitlines() == [
+            "PASS  forall n in 0..2 : x = x",
+            "FAIL  forall n in 0..2 : x = x + 1  at 0: difference -1",
+            "ERROR forall n in 0..2 : x +  syntax error at 3:25, expected an expression"
+            " but found end of input"]
+        verdicts = run_json(capsys, argv, expect=EXIT_USAGE)["verdicts"]
+        assert [v["source"] for v in verdicts] == [
+            "forall n in 0..2 : x = x", "forall n in 0..2 : x = x + 1", "forall n in 0..2 : x +"]
+
     def test_missing_file(self, capsys):
         run(capsys, ["check", "/nonexistent/x.uid", "--max-n", "3"], expect=EXIT_USAGE)
 

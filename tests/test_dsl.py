@@ -360,6 +360,18 @@ class TestCorpus:
         assert [v.status for v in verdicts] == ["pass", "fail", "error"]
         assert verdicts[2].location == (3, 25)
 
+    # every line break str.splitlines() knows but "\n"
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028", "\u2029", "\r"])
+    def test_only_a_newline_ends_a_line(self, brk):
+        # tokenize reads the others as whitespace, so the corpus does too, and
+        # an error on the next line is at that line's "\n" count
+        corpus = f"forall n in 0..2 : x{brk}= x\nforall n in 0..2 : x {brk}+\n"
+        verdicts = check_corpus(corpus)
+        assert [v.status for v in verdicts] == ["pass", "error"]
+        assert verdicts[1].location == (2, 24)
+        assert [v.status for v in check_corpus(f"forall n in 0..2 : x{brk}= x")] == ["pass"]
+
     def test_bad_literals_are_error_verdicts(self):
         corpus = ("forall n in 0..2 : E(n) = E(n)\n"
                   "forall n in 0..2 : ² = x\n"

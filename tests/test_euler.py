@@ -19,7 +19,7 @@ from weuler.euler import (
     weighted_euler_gf,
     weighted_euler_numbers,
 )
-from weuler.ratfunc import QQ, QW, W, Polynomial, WRational, binomial
+from weuler.ratfunc import QQ, QW, W, Polynomial, binomial
 from weuler.series import Series, exp_series
 from weuler.umbral import apply_functional, pairing
 
@@ -149,36 +149,8 @@ class TestOrderK:
         lhs, rhs = order_k_multinomial(3, 5, w=Fraction(4))
         assert lhs == rhs
 
-    def test_shared_numbers_build_each_product_from_its_prefix(self, monkeypatch):
-        # in verify_paper_suite's order, k then n, every partition's product
-        # is one multiplication of its prefix's, made in an earlier call
-        numbers = weighted_euler_numbers(9)
-        order_k = {k: EulerTable.build(9, k).numbers for k in (1, 2, 3, 4)}
-        fresh = {(k, n): order_k_multinomial(k, n, numbers=numbers, order_k=order_k[k])
-                 for k in order_k for n in range(9)}
-        products = {}
-        real_mul = WRational.__mul__
-        muls = 0
-
-        def counting_mul(self, other):
-            nonlocal muls
-            muls += 1
-            return real_mul(self, other)
-
-        monkeypatch.setattr(WRational, "__mul__", counting_mul)
-        for k in order_k:
-            for n in range(9):
-                muls = 0
-                lhs, rhs = order_k_multinomial(k, n, numbers=numbers, order_k=order_k[k],
-                                               products=products)
-                partitions = sum(1 for parts in itertools.combinations_with_replacement(range(n + 1), k)
-                                 if sum(parts) == n)
-                assert muls == (partitions if k > 1 else 0), (k, n)
-                want = fresh[k, n]
-                assert (lhs, rhs) == want and hash(rhs) == hash(want[1]), (k, n)
-
     @pytest.mark.parametrize("w", [None, Fraction(4), Fraction(-3, 2)], ids=["Qw", "w=4", "w=-3/2"])
-    def test_partition_sum_equals_composition_sum(self, w):
+    def test_binomial_convolution_equals_composition_sum(self, w):
         # brute-force oracle: every ordered tuple (i_1..i_k) with sum n, each
         # weighted by n!/(i_1!...i_k!), as the identity is written
         numbers = weighted_euler_numbers(9, w)
@@ -517,6 +489,17 @@ class TestVerifySuite:
     def test_first_failure_report_pinned(self, order, expected):
         tables = {order: EulerTable.build(6, order).with_perturbed_number(3)}
         assert verify_paper_suite(6, 2, tables=tables).render_text() == expected
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(8))
+    def test_convolution_finds_each_order_k_fault(self, n, k):
+        # (i) convolves the order-1 numbers up to order k, so a +1 anywhere in
+        # the stored order-k table is found where it sits, as exactly +1
+        tables = {k: EulerTable.build(8, k).with_perturbed_number(n)}
+        report = verify_paper_suite(8, k, tables=tables)
+        (check,) = [r for r in report.results if r.check == "(i) multinomial"]
+        assert check.status == "fail"
+        assert check.counterexample == {"n": n, "k": k, "difference": "1"}
 
 
 class TestLatex:

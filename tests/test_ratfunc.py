@@ -20,7 +20,6 @@ from weuler.ratfunc import (
     WRational,
     binary_power,
     binomial,
-    multinomial,
     one_plus_w_pow,
     poly_gcd,
 )
@@ -394,10 +393,6 @@ class TestCombinatorics:
     def test_binomial_outside_range_is_zero(self):
         assert binomial(3, 5) == 0
         assert binomial(3, -1) == 0
-
-    def test_multinomial(self):
-        assert multinomial(4, (2, 1, 1)) == 12
-        assert multinomial(0, ()) == 1
 
     @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
     @settings(max_examples=50, deadline=None)

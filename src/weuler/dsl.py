@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
+from ._record import FrozenRecord, Record, replace
 from .euler import TableChain
 from .ratfunc import QW, W, Polynomial, binomial, join_signed
 
@@ -49,8 +49,7 @@ class DslEvalError(ValueError):
 # Lexer
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(FrozenRecord):
     kind: str          # keyword, "ident", "int", a symbol, or "end"
     text: str
     line: int
@@ -97,8 +96,7 @@ def tokenize(text: str, line: int = 1) -> list[Token]:
 # AST
 
 
-@dataclass(frozen=True)
-class IndexExpr:
+class IndexExpr(FrozenRecord):
     """Integer-linear form: a tuple of (coefficient, variable-or-None) terms."""
 
     terms: tuple
@@ -126,16 +124,14 @@ class IndexExpr:
         return None
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(FrozenRecord):
     value: Fraction
 
     def render(self) -> str:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(FrozenRecord):
     name: str                      # "w" or "x"
 
     def render(self) -> str:
@@ -151,8 +147,7 @@ def _render_xarg(xarg: Optional[int]) -> str:
     return f", x {sign} {abs(xarg)}"
 
 
-@dataclass(frozen=True)
-class ECall:
+class ECall(FrozenRecord):
     order: Optional[IndexExpr]     # None: written E(...), which is order 1
     index: IndexExpr
     xarg: Optional[int]            # None: the number; k: the polynomial at x+k
@@ -162,8 +157,7 @@ class ECall:
         return f"{head}{self.index.render()}{_render_xarg(self.xarg)})"
 
 
-@dataclass(frozen=True)
-class Binom:
+class Binom(FrozenRecord):
     top: IndexExpr
     bottom: IndexExpr
 
@@ -171,8 +165,7 @@ class Binom:
         return f"binom({self.top.render()}, {self.bottom.render()})"
 
 
-@dataclass(frozen=True)
-class SumExpr:
+class SumExpr(FrozenRecord):
     var: str
     lo: IndexExpr
     hi: IndexExpr
@@ -182,28 +175,25 @@ class SumExpr:
         return f"sum({self.var} = {self.lo.render()}..{self.hi.render()}, {render_expr(self.body)})"
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(FrozenRecord):
     """first op1 a1 op2 a2 ...: a sum or a product, applied left to right."""
 
     first: object
     steps: tuple                   # ((op, operand), ...), all "+"/"-" or all "*"/"/"
 
 
-@dataclass(frozen=True)
-class PowExpr:
+class PowExpr(FrozenRecord):
     base: object
     exponent: IndexExpr
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(FrozenRecord, uncompared=("source",)):
     var: str
     lo: int
     hi: int
     lhs: object
     rhs: object
-    source: str = field(compare=False, default="")
+    source: str = ""
 
 
 def _divide(num: Polynomial, den: Polynomial) -> Polynomial:
@@ -594,8 +584,7 @@ def evaluate_expr(node, env: dict, tables: TableChain) -> Polynomial:
 # Checking
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     status: str                    # "pass" | "fail" | "error"
     source: str = ""
     at: Optional[int] = None

@@ -10,10 +10,10 @@ the two must agree exactly in Q(w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Record
 from .ratfunc import QQ, QW, W, Polynomial, binomial
 from .series import Series
 from .umbral import apply_functional, pairing
@@ -222,8 +222,7 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
 # Verification suite
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     check: str
     status: str                      # "pass" | "fail"
     counterexample: Optional[dict] = None
@@ -235,8 +234,7 @@ class CheckResult:
         return row
 
 
-@dataclass
-class Report:
+class Report(Record):
     max_n: int
     max_k: int
     results: list[CheckResult]

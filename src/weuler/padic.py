@@ -8,10 +8,10 @@ here.  Weights must satisfy |1-w|_p < 1 and p must be an odd prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ._record import Record
 from .euler import weighted_euler_numbers
 from .ratfunc import QQ, QW, W, Polynomial, exact_text
 
@@ -129,8 +129,7 @@ def _truncated_text(r: Fraction) -> str:
     return f"{text[:12]}...{text[-12:]} ({len(text)} chars)"
 
 
-@dataclass
-class LevelRow:
+class LevelRow(Record):
     level: int
     partial_sum: Fraction
     deviation_valuation: Optional[int]     # None: the deviation is exactly zero
@@ -178,8 +177,7 @@ class _LevelReport:
                 else f"{r.level} & {r.deviation_valuation}" for r in self.rows)
 
 
-@dataclass
-class ConvergenceReport(_LevelReport):
+class ConvergenceReport(_LevelReport, Record):
     p: int
     w: Fraction
     target: Fraction
@@ -210,8 +208,7 @@ def convergence_report(f, w, p: int, levels: int, M: int) -> ConvergenceReport:
     return ConvergenceReport(p, w, target, _deviation_rows(sums, target, p), M * ZERO_VALUATION_GUARD)
 
 
-@dataclass
-class ShiftReport(_LevelReport):
+class ShiftReport(_LevelReport, Record):
     p: int
     w: Fraction
     symbolic_ok: bool

@@ -33,13 +33,14 @@ def _require_precision(f: Series, p: Polynomial) -> None:
 
 
 def _rows(f: Series, p: Polynomial) -> tuple[Sequence, list]:
-    """(c, q): the c_k(f) that meet p, in p's field, and q_m = m! p_m."""
+    """(c, q): the c_k(f) that meet p, in p's field, and q_m = m! p_m (a zero
+    p_m is its own q_m, so a monomial x^n scales one coefficient, not n + 1)."""
     _require_precision(f, p)
     field = p.field
     c = f.coeffs[:len(p.coeffs)]
     if f.field is not field:
         c = [field.of(ck) for ck in c]
-    return c, [pm * math.factorial(m) for m, pm in enumerate(p.coeffs)]
+    return c, [pm * math.factorial(m) if pm else pm for m, pm in enumerate(p.coeffs)]
 
 
 def pairing(f: Series, p: Polynomial):
@@ -56,11 +57,12 @@ def apply_functional(f: Series, p: Polynomial) -> Polynomial:
 
     With q_m = m! p_m, the x^j coefficient of the result is
     (1/j!) sum_k c_k q_(j+k): one field.dot per coefficient, in p's field
-    and variable.
+    and variable, scaled by 1/j! unless the dot is zero.
     """
     c, q = _rows(f, p)
     dot, d = p.field.dot, len(q)
-    return p._new([dot(c[:d - j], q[j:]) * Fraction(1, math.factorial(j)) for j in range(d)])
+    return p._new([s * Fraction(1, math.factorial(j)) if (s := dot(c[:d - j], q[j:])) else s
+                   for j in range(d)])
 
 
 class ShefferPair:

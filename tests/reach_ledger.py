@@ -47,7 +47,15 @@ DISPLAY = "display in a session or in a failed assertion"
 ROUND_TRIP = "parser round-trip oracle: renders a parsed .uid line back to text"
 ERROR = "error path: only a .uid line that fails to parse or to evaluate reaches it"
 GCD = "gcd path: WRational divides when a gcd is not 1, which no CLI run meets (item 11)"
+FROZEN = "frozen guard: refuses assignment to a .uid syntax node; no caller assigns one"
 REASONS = {
+    "_record.FrozenRecord.__delattr__": FROZEN,
+    "_record.FrozenRecord.__hash__": PROTOCOL,
+    "_record.FrozenRecord.__setattr__": FROZEN,
+    "_record.Record.__eq__": PROTOCOL,
+    "_record.Record.__init_subclass__": "class definition: runs once per record class, when its module is imported",
+    "_record.Record.__repr__": DISPLAY,
+    "_record.Record._key": PROTOCOL + "; __eq__ and __hash__ read it",
     "cli._check_writable": "outside-input check: rejects an unwritable --out path; the ledger writes to stdout",
     "dsl.Binom.render": ROUND_TRIP,
     "dsl.DslParseError.__init__": ERROR,

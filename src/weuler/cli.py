@@ -1,9 +1,11 @@
 """Command-line interface: tables, verification suite, corpus checks, p-adic runs.
 
-Each subcommand's runner checks its arguments, computes, and returns its exit
-code with three lazy renderers: the JSON payload without its "command" key,
-the LaTeX rows without their row terminator, and the text.  `main` resolves
-the format, renders only the one asked for, and writes it once.
+Each subcommand's runner checks its arguments and only then imports the
+layers it runs, so `import weuler.cli`, --help and a rejected argument load
+none of them.  It computes and returns its exit code with three lazy
+renderers: the JSON payload without its "command" key, the LaTeX rows
+without their row terminator, and the text.  `main` resolves the format,
+renders only the one asked for, and writes it once.
 
 Exit codes: 0 success or all-pass, 1 identity violation, 2 usage or parse
 error (also an --out path that cannot be written, rejected before any work,
@@ -17,15 +19,9 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from fractions import Fraction
-
-from .dsl import check_corpus
-from .euler import EulerTable, verify_paper_suite
-from .padic import convergence_report, is_admissible_weight, is_odd_prime, shift_identity_check
-from .ratfunc import Polynomial, exact_text
 
 FORMATS = ("text", "json", "latex")
 
@@ -133,6 +129,9 @@ def _run_table(args):
     w = None if args.w is None else _parse_rational(args.w, "--w")
     if w == -1:
         raise UsageError("w = -1 is a pole of the generating function")
+    from .euler import EulerTable
+    from .ratfunc import Polynomial, exact_text
+
     table = EulerTable.build(args.max_n, args.order, w=w)
     field = table.field
     if args.subcommand == "numbers":
@@ -155,6 +154,8 @@ def _run_table(args):
 def _run_verify(args):
     if args.max_n < 2 or args.max_k < 1:
         raise UsageError("need --max-n >= 2 and --max-k >= 1")
+    from .euler import verify_paper_suite
+
     report = verify_paper_suite(args.max_n, args.max_k)
     return (
         EXIT_OK if report.passed else EXIT_VIOLATION,
@@ -180,6 +181,8 @@ def _run_check(args):
         raise UsageError(f"cannot read {args.file}: {exc.strerror}")
     except UnicodeDecodeError as exc:     # a ValueError, not an OSError
         raise UsageError(f"cannot read {args.file}: {exc}")
+    from .dsl import check_corpus
+
     verdicts = check_corpus(corpus, max_n=args.max_n)
     statuses = {v.status for v in verdicts}
     code = (EXIT_USAGE if any(v.location is not None for v in verdicts)   # a parse error
@@ -199,6 +202,9 @@ def _run_check(args):
 
 
 def _run_padic(args):
+    from .padic import convergence_report, is_admissible_weight, is_odd_prime, shift_identity_check
+    from .ratfunc import exact_text
+
     if not is_odd_prime(args.p):
         raise UsageError(f"--p must be an odd prime, got {args.p}")
     w = _parse_rational(args.w, "--w")
@@ -247,6 +253,8 @@ def main(argv=None) -> int:
             _check_writable(args.out)
         code, payload, latex_rows, text = _RUNNERS[args.subcommand](args)
         if fmt == "json":
+            import json
+
             output = json.dumps({"command": args.subcommand, **payload()}, indent=2)
         elif fmt == "latex":
             output = "\n".join(f"{row} \\\\" for row in latex_rows())

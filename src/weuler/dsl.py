@@ -21,7 +21,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Optional
 
 from ._record import FrozenRecord, Record, replace
 from .euler import TableChain
@@ -118,7 +117,7 @@ class IndexExpr(FrozenRecord):
             terms.append((coef < 0, body))
         return join_signed(terms)
 
-    def literal_value(self) -> Optional[int]:
+    def literal_value(self) -> int | None:
         if len(self.terms) == 1 and self.terms[0][1] is None:
             return self.terms[0][0]
         return None
@@ -138,7 +137,7 @@ class Sym(FrozenRecord):
         return self.name
 
 
-def _render_xarg(xarg: Optional[int]) -> str:
+def _render_xarg(xarg: int | None) -> str:
     if xarg is None:
         return ""
     if xarg == 0:
@@ -148,9 +147,9 @@ def _render_xarg(xarg: Optional[int]) -> str:
 
 
 class ECall(FrozenRecord):
-    order: Optional[IndexExpr]     # None: written E(...), which is order 1
+    order: IndexExpr | None   # None: written E(...), which is order 1
     index: IndexExpr
-    xarg: Optional[int]            # None: the number; k: the polynomial at x+k
+    xarg: int | None          # None: the number; k: the polynomial at x+k
 
     def render(self) -> str:
         head = "E(" if self.order is None else f"Ek({self.order.render()}, "
@@ -293,14 +292,14 @@ class _Parser:
         found = "end of input" if tok.kind == "end" else f"`{tok.text}`"
         return DslParseError(f"expected {expected} but found {found}", tok.line, tok.column)
 
-    def expect(self, kind: str, expected: Optional[str] = None) -> Token:
+    def expect(self, kind: str, expected: str | None = None) -> Token:
         tok = self.current
         if tok.kind != kind:
             raise self._fail(expected or f"`{kind}`")
         self.pos += 1
         return tok
 
-    def accept(self, kind: str) -> Optional[Token]:
+    def accept(self, kind: str) -> Token | None:
         if self.current.kind == kind:
             tok = self.current
             self.pos += 1
@@ -438,7 +437,7 @@ class _Parser:
         xarg = self._optional_xarg()
         return ECall(order, index, xarg)
 
-    def _optional_xarg(self) -> Optional[int]:
+    def _optional_xarg(self) -> int | None:
         if self.accept(")"):
             return None
         if not self.accept(","):
@@ -587,10 +586,10 @@ def evaluate_expr(node, env: dict, tables: TableChain) -> Polynomial:
 class Verdict(Record):
     status: str                    # "pass" | "fail" | "error"
     source: str = ""
-    at: Optional[int] = None
-    difference: Optional[str] = None
-    message: Optional[str] = None
-    location: Optional[tuple] = None
+    at: int | None = None
+    difference: str | None = None
+    message: str | None = None
+    location: tuple | None = None
 
     def to_json(self) -> dict:
         out = {"source": self.source, "status": self.status}
@@ -612,7 +611,7 @@ class Verdict(Record):
         return f"ERROR {self.source}  {self.message}"
 
 
-def _checked_top(ast: Identity, max_n: Optional[int]) -> int:
+def _checked_top(ast: Identity, max_n: int | None) -> int:
     return ast.hi if max_n is None else min(ast.hi, max_n)
 
 
@@ -635,7 +634,7 @@ def _node_reach(node, env: dict) -> int:
     return -1
 
 
-def _reach(ast: Identity, max_n: Optional[int]) -> int:
+def _reach(ast: Identity, max_n: int | None) -> int:
     """Largest table index the identity asks for over its checked range.
 
     Index expressions are walked, not evaluated into polynomials, so the one
@@ -647,7 +646,7 @@ def _reach(ast: Identity, max_n: Optional[int]) -> int:
                 for side in (ast.lhs, ast.rhs)), default=-1)
 
 
-def _check(ast: Identity, max_n: Optional[int], tables: Optional[TableChain]) -> Verdict:
+def _check(ast: Identity, max_n: int | None, tables: TableChain | None) -> Verdict:
     """The verdict of an identity read from tables that reach every index it asks for."""
     hi = _checked_top(ast, max_n)
     if hi < ast.lo:                # a PASS would claim an identity no index was checked for
@@ -666,7 +665,7 @@ def _check(ast: Identity, max_n: Optional[int], tables: Optional[TableChain]) ->
     return Verdict("pass", ast.source)
 
 
-def _check_all(items: list, max_n: Optional[int]) -> list[Verdict]:
+def _check_all(items: list, max_n: int | None) -> list[Verdict]:
     """The verdict of each Identity in items, read from one TableChain through
     the largest index any of them asks for; Verdicts in items pass through."""
     reach = -1
@@ -680,12 +679,12 @@ def _check_all(items: list, max_n: Optional[int]) -> list[Verdict]:
     return [item if isinstance(item, Verdict) else _check(item, max_n, tables) for item in items]
 
 
-def check_identity(ast: Identity, max_n: Optional[int] = None) -> Verdict:
+def check_identity(ast: Identity, max_n: int | None = None) -> Verdict:
     """Exact check over the declared range, optionally capped at max_n."""
     return _check_all([ast], max_n)[0]
 
 
-def check_corpus(text: str, max_n: Optional[int] = None) -> list[Verdict]:
+def check_corpus(text: str, max_n: int | None = None) -> list[Verdict]:
     """One verdict per identity line; parse failures become error verdicts.
 
     Lines end at "\n" alone, the one line break tokenize counts; every other

@@ -10,8 +10,8 @@ the two must agree exactly in Q(w).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from ._record import Record
 from .ratfunc import QQ, QW, W, Polynomial, binomial
@@ -225,7 +225,7 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
 class CheckResult(Record):
     check: str
     status: str                      # "pass" | "fail"
-    counterexample: Optional[dict] = None
+    counterexample: dict | None = None
 
     def to_json(self, max_n: int, max_k: int) -> dict:
         row = {"check": self.check, "status": self.status, "maxN": max_n, "maxK": max_k}
@@ -259,7 +259,7 @@ class Report(Record):
         return "\n".join(lines)
 
 
-def _first_failure(cases) -> Optional[dict]:
+def _first_failure(cases) -> dict | None:
     """Counterexample at the first nonzero difference of (n, k, difference) cases."""
     for n, k, diff in cases:
         if diff:

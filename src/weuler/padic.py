@@ -9,7 +9,6 @@ here.  Weights must satisfy |1-w|_p < 1 and p must be an odd prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from ._record import Record
 from .euler import weighted_euler_numbers
@@ -132,7 +131,7 @@ def _truncated_text(r: Fraction) -> str:
 class LevelRow(Record):
     level: int
     partial_sum: Fraction
-    deviation_valuation: Optional[int]     # None: the deviation is exactly zero
+    deviation_valuation: int | None   # None: the deviation is exactly zero
 
     @property
     def exact_zero(self) -> bool:
@@ -153,7 +152,7 @@ class _LevelReport:
     zero_bound: int
 
     @property
-    def valuations(self) -> list[Optional[int]]:
+    def valuations(self) -> list[int | None]:
         return [r.deviation_valuation for r in self.rows]
 
     def _levels_json(self) -> list[dict]:

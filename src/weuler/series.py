@@ -128,10 +128,13 @@ class Series:
         return Series._make(self.field, [-a for a in self.coeffs], self.precision)
 
     def scale(self, c) -> "Series":
-        """c * self; an int or Fraction multiplies as it is, as in Polynomial.scale."""
+        """c * self; an int or Fraction multiplies as it is, as in Polynomial.scale.
+
+        A zero coefficient is kept as it is: it is the field's zero already.
+        """
         if not isinstance(c, (int, Fraction)):
             c = self.field.of(c)
-        return Series._make(self.field, [a * c for a in self.coeffs], self.precision)
+        return Series._make(self.field, [a * c if a else a for a in self.coeffs], self.precision)
 
     def add_constant(self, c) -> "Series":
         c = self.field.of(c)

@@ -9,8 +9,8 @@ primitives.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .ratfunc import Polynomial
 from .series import Series

@@ -49,11 +49,13 @@ ERROR = "error path: only a .uid line that fails to parse or to evaluate reaches
 GCD = "gcd path: WRational divides when a gcd is not 1, which no CLI run meets (item 11)"
 FROZEN = "frozen guard: refuses assignment to a .uid syntax node; no caller assigns one"
 REASONS = {
+    "__init__.__dir__": "library API: dir(weuler) lists every name of __all__, resolved or not",
+    "__init__.__getattr__": "library API: resolves `from weuler import X` on first use; "
+                            "the CLI imports its layers directly",
     "_record.FrozenRecord.__delattr__": FROZEN,
     "_record.FrozenRecord.__hash__": PROTOCOL,
     "_record.FrozenRecord.__setattr__": FROZEN,
     "_record.Record.__eq__": PROTOCOL,
-    "_record.Record.__init_subclass__": "class definition: runs once per record class, when its module is imported",
     "_record.Record.__repr__": DISPLAY,
     "_record.Record._key": PROTOCOL + "; __eq__ and __hash__ read it",
     "cli._check_writable": "outside-input check: rejects an unwritable --out path; the ledger writes to stdout",

@@ -143,7 +143,7 @@ class TestVerify:
         def broken(max_n, max_k):
             raise ValueError("broken suite")
 
-        monkeypatch.setattr("weuler.cli.verify_paper_suite", broken)
+        monkeypatch.setattr("weuler.euler.verify_paper_suite", broken)
         code = main(["verify", "--suite", "paper", "--max-n", "4", "--max-k", "1"])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err == "weuler: runtime error: broken suite\n"

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import weuler
@@ -32,3 +34,18 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from weuler import *", namespace)
     assert set(weuler.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_exported_name():
+    assert set(weuler.__all__) <= set(dir(weuler))
+
+
+def test_a_fresh_import_loads_each_module_when_one_of_its_names_is_read():
+    src = Path(weuler.__file__).resolve().parent.parent
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import weuler\n"
+             "loaded = lambda: sorted(m for m in sys.modules if m.startswith('weuler'))\n"
+             "print(*loaded()); weuler.Series; print(*loaded())")
+    done = subprocess.run([sys.executable, "-S", "-c", probe, str(src)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["weuler", "weuler weuler.ratfunc weuler.series"]

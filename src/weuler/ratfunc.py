@@ -41,7 +41,7 @@ def binary_power(base, n: int, one):
 
 # A polynomial product of at least this many coefficient products
 # (len(a) * len(b)) sums each coefficient through field.dot; a smaller one
-# adds term by term in a double loop.  Both take the same products in the
+# adds term by term through convolve.  Both take the same products in the
 # same order.  Over Q, dot takes about the loop's time when one operand is
 # a constant, about 0.6x of it at 2 x 8 coefficients and 0.2x at 32 x 32
 # (BENCH_16.json).  The cutoff sits above every product of `check paper.uid
@@ -49,6 +49,22 @@ def binary_power(base, n: int, one):
 # benchmark can time commands shorter than its speed monitor's first unit
 # (ROADMAP item 1).
 DOT_MIN_PRODUCTS = 100
+
+
+def convolve(field, a, b, n: int) -> list:
+    """The first n coefficients of a*b, term by term.
+
+    Each nonzero a_i with i < n times each nonzero b_j with i + j < n is
+    added into slot i + j, by ascending i and then j.  Polynomial products
+    below DOT_MIN_PRODUCTS and every Series product take this loop.
+    """
+    out = [field.zero] * n
+    for i, ca in enumerate(a[:n]):
+        if ca:
+            for j, cb in enumerate(b[:n - i], i):
+                if cb:
+                    out[j] += ca * cb
+    return out
 
 
 def _strip(coeffs: list) -> tuple:
@@ -173,13 +189,7 @@ class Polynomial:
         if not a or not b:
             return self._new([])
         if len(a) * len(b) < DOT_MIN_PRODUCTS:
-            out = [self.field.zero] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b, i):
-                        if cb:
-                            out[j] += ca * cb
-            return self._new(out)
+            return self._new(convolve(self.field, a, b, len(a) + len(b) - 1))
         # coefficient k is one field.dot of a_lo, a_lo+1, ... with b_(k-lo),
         # b_(k-lo-1), ..., where lo = max(0, k - last)
         dot, rb, last = self.field.dot, b[::-1], len(b) - 1
@@ -397,19 +407,6 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     while B:
         A, B = B, _int_primitive(_int_prem(A, B))
     return _wpoly(Fraction(c, A[-1]) for c in A)
-
-
-def _poly_content(p: Polynomial) -> Fraction:
-    """Rational content carrying the sign of the leading coefficient."""
-    if p.is_zero():
-        return Fraction(0)
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.coeffs:
-        num_gcd = math.gcd(num_gcd, c.numerator)
-        den_lcm = math.lcm(den_lcm, c.denominator)
-    content = Fraction(num_gcd, den_lcm)
-    return -content if p.leading < 0 else content
 
 
 # cached coefficient rows of (1 + w)^m, used both for fast reduction and for
@@ -677,20 +674,32 @@ class WRational:
     # -- rendering ------------------------------------------------------
 
     def __str__(self) -> str:
+        # factored numerator over the content's denominator q times den:
+        # sign, content, w^m and the primitive rest, e.g. -2*w*(w - 1)/(3*(1 + w)^2)
         if self.num.is_zero():
             return "0"
-        # fold the numerator content's denominator into the printed one,
-        # so w/2 renders as w/2 rather than 1/2*w
-        q = _poly_content(self.num).denominator
-        num_text = _numerator_text(
-            self.num.scale(q), parenthesize_sums=q > 1 or not self.den.is_one()
-        )
+        ints, q = _integer_row(self.num.coeffs)
+        g = math.gcd(*ints)
+        if ints[-1] < 0:
+            g = -g
+        m = 0
+        while not ints[m]:
+            m += 1
+        rest = [c // g for c in ints[m:]]
+        factors = []
+        if abs(g) != 1 or (m == 0 and len(rest) == 1):
+            factors.append(exact_text(abs(g)))
+        if m:
+            factors.append("w" if m == 1 else f"w^{m}")
+        if len(rest) > 1:
+            body = poly_text(rest)
+            parens = factors or g < 0 or q > 1 or not self.den.is_one()
+            factors.append(f"({body})" if parens else body)
+        text = ("-" if g < 0 else "") + "*".join(factors)
         if self.den.is_one():
-            return num_text if q == 1 else f"{num_text}/{exact_text(q)}"
-        den_text = _denominator_text(self.den)
-        if q > 1:
-            den_text = f"({exact_text(q)}*{den_text})"
-        return f"{num_text}/{den_text}"
+            return text if q == 1 else f"{text}/{exact_text(q)}"
+        den = _denominator_text(self.den)
+        return f"{text}/{den}" if q == 1 else f"{text}/({exact_text(q)}*{den})"
 
     def __repr__(self) -> str:
         return f"WRational({str(self)!r})"
@@ -699,10 +708,7 @@ class WRational:
         num = poly_text(self.num.coeffs, latex=True)
         if self.den.is_one():
             return num
-        m = _as_one_plus_w_power(self.den)
-        den = (f"(1 + w)^{{{m}}}" if m and m > 1
-               else "(1 + w)" if m else poly_text(self.den.coeffs, latex=True))
-        return f"\\frac{{{num}}}{{{den}}}"
+        return f"\\frac{{{num}}}{{{_denominator_text(self.den, latex=True)}}}"
 
 
 def _canonical(num: Polynomial, den: Polynomial) -> WRational:
@@ -712,37 +718,16 @@ def _canonical(num: Polynomial, den: Polynomial) -> WRational:
     return out
 
 
-def _numerator_text(num: Polynomial, parenthesize_sums: bool) -> str:
-    # factored form: content * w^m * primitive, e.g. 2*w*(w - 1)
-    content = _poly_content(num)
-    reduced = num.scale(1 / content)
-    m = 0
-    while reduced.coeffs and reduced.coeffs[0] == 0:
-        reduced = reduced._new(list(reduced.coeffs[1:]))
-        m += 1
-    factors: list[str] = []
-    mag = abs(content)
-    if m == 0 and reduced.is_one() or mag != 1:
-        factors.append(exact_text(mag))
-    if m >= 1:
-        factors.append("w" if m == 1 else f"w^{m}")
-    if not reduced.is_one():
-        body = poly_text(reduced.coeffs)
-        if len([c for c in reduced.coeffs if c]) > 1:
-            if factors or parenthesize_sums or content < 0:
-                body = f"({body})"
-        factors.append(body)
-    text = "*".join(factors)
-    return f"-{text}" if content < 0 else text
-
-
-def _denominator_text(den: Polynomial) -> str:
+def _denominator_text(den: Polynomial, latex: bool = False) -> str:
+    """den under a fraction bar: (1 + w)^m factored, any other den expanded,
+    in parentheses in text when it has more than one term."""
     m = _as_one_plus_w_power(den)
     if m is not None:
-        return "(1 + w)" if m == 1 else f"(1 + w)^{m}"
-    if len([c for c in den.coeffs if c]) == 1:
-        return poly_text(den.coeffs)
-    return f"({poly_text(den.coeffs)})"
+        if m == 1:
+            return "(1 + w)"
+        return f"(1 + w)^{{{m}}}" if latex else f"(1 + w)^{m}"
+    text = poly_text(den.coeffs, latex)
+    return text if latex or sum(1 for c in den.coeffs if c) == 1 else f"({text})"
 
 
 W = WRational(_wpoly((Fraction(0), Fraction(1))))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ratfunc import binary_power
+from .ratfunc import Polynomial, binary_power, convolve
 
 
 class Series:
@@ -22,6 +22,9 @@ class Series:
 
     The constructor coerces every coefficient through ``field.of``;
     arithmetic builds its results from field elements with ``_make``.
+    A product is ``ratfunc.convolve`` cut at the smaller precision, the
+    loop that small polynomial products take, and a series prints as the
+    polynomial in t of its coefficients, ``1 + t + 1/2*t^2 + O(t^3)``.
     """
 
     __slots__ = ("field", "coeffs", "precision")
@@ -146,16 +149,7 @@ class Series:
         if not isinstance(other, Series):
             return self.scale(other)
         n = min(self.precision, other.precision)
-        zero = self.field.zero
-        out = [zero] * n
-        for i, a in enumerate(self.coeffs[:n]):
-            if a == zero:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != zero:
-                    out[i + j] = out[i + j] + a * b
-        return Series._make(self.field, out, n)
+        return Series._make(self.field, convolve(self.field, self.coeffs, other.coeffs, n), n)
 
     def __rmul__(self, other) -> "Series":
         return self.scale(other)
@@ -230,25 +224,10 @@ class Series:
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == self.field.zero:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{_wrap(self.field.render(c))}*t")
-            else:
-                parts.append(f"{_wrap(self.field.render(c))}*t^{k}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{body} + O(t^{self.precision})"
+        return f"{Polynomial(self.field, self.coeffs, 't')} + O(t^{self.precision})"
 
     def __repr__(self) -> str:
         return f"Series[{self.field.name}]({str(self)})"
-
-
-def _wrap(text: str) -> str:
-    return f"({text})" if (" + " in text or " - " in text) else text
 
 
 def exp_series(field, y, precision: int) -> Series:

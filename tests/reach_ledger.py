@@ -106,7 +106,6 @@ REASONS = {
     "series.Series.order": SHEFFER,
     "series.Series.reverse": SHEFFER,
     "series.Series.truncate": SHEFFER + "; compose, reverse and sheffer_basis cut series with it",
-    "series._wrap": DISPLAY,
     "series.exp_series": SHEFFER,
     "umbral.ShefferPair.__init__": SHEFFER,
     "umbral.appell_basis": SHEFFER + "; bench/tracing.py times it as umbral.appell_basis",

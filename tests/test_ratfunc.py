@@ -266,6 +266,15 @@ class TestRendering:
         "w - 1",
         "0",
         "1",
+        # general and monomial denominators, with and without a content
+        "(w^2 + 1)/(w - 2)",
+        "(w - 1)/(w + 2)",
+        "1/w",
+        "(w + 1)/w^2",
+        "w/(2*(w^2 + 1))",
+        "-3*w^2/(w^2 + 1)",
+        "-w/(3*(1 + w))",
+        "2*w^3/(1 + w)",
     ]
 
     @pytest.mark.parametrize("text", PINNED)
@@ -283,6 +292,8 @@ class TestRendering:
         # fractional coefficients and a denominator that is no power of (1 + w)
         r = (W * W * QW.of(frac(-3, 7)) + W) / (W * W + ONE)
         assert r.latex() == r"\frac{-\frac{3}{7} w^{2} + w}{w^{2} + 1}"
+        assert (ONE / W).latex() == r"\frac{1}{w}"
+        assert ((W + ONE) / (W * W)).latex() == r"\frac{w + 1}{w^{2}}"
 
     @given(rationals())
     @example(-W * W)
@@ -545,6 +556,16 @@ class TestPolynomialProduct:
                     assert got.coeffs == want.coeffs     # canonical forms, so structural
                     assert all(type(c) is element_type for c in got.coeffs)
                     assert hash(got) == hash(want)
+        # as series, cut or padded on either side of each operand's length
+        for a, b in ((xs, ys), (ys, xs)):
+            want = schoolbook(Polynomial(field, a), Polynomial(field, b)).coeffs
+            for na in {max(1, len(a) - 1), len(a) + 2}:
+                for nb in {max(1, len(b) - 1), len(b) + 2}:
+                    got = Series(field, a, na) * Series(field, b, nb)
+                    n = min(na, nb)
+                    assert got.precision == n and got.field is field
+                    assert list(got.coeffs) == list(want[:n]) + [field.zero] * (n - len(want))
+                    assert all(type(c) is element_type for c in got.coeffs)
 
     @pytest.mark.parametrize("cutoff", CUTOFFS)
     @pytest.mark.parametrize("xs, ys", [
@@ -578,6 +599,16 @@ class TestPolynomialProduct:
             del log[:]
             got = left * right
             assert got.coeffs == want.coeffs
+            assert want_log and Counter(log) == Counter(want_log)
+        # as series at the full product's precision: the same operations
+        for a, b in ((xs, ys), (ys, xs)):
+            n = len(a) + len(b) - 1
+            del log[:]
+            want = schoolbook(Polynomial(QW, a), Polynomial(QW, b))
+            want_log = list(log)
+            del log[:]
+            got = Series(QW, a, n) * Series(QW, b, n)
+            assert list(got.coeffs) == list(want.coeffs) + [ZERO] * (n - len(want.coeffs))
             assert want_log and Counter(log) == Counter(want_log)
 
     def test_check_products_stay_below_the_cutoff(self, monkeypatch):

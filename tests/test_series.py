@@ -91,6 +91,20 @@ class TestBasics:
         assert d.coefficient(0) == 1 and d.coefficient(1) == 2
 
 
+class TestRendering:
+    def test_prints_as_a_polynomial_in_t(self):
+        assert str(S([1, 1, -1, Fraction(1, 2), 0])) == "1 + t + -1*t^2 + 1/2*t^3 + O(t^5)"
+        assert str(Series(QW, [W, W + QW.one, QW.one])) == "w + (w + 1)*t + t^2 + O(t^3)"
+        assert str(Series.zero(QQ, 3)) == "0 + O(t^3)"
+        assert repr(S([0, 2])) == "Series[Q](2*t + O(t^2))"
+
+    def test_large_constant_term_prints(self):
+        # past int_max_str_digits the constant goes through field.render, as
+        # every other coefficient does
+        text = str(Series(QQ, [Fraction(10 ** 5000), Fraction(1)]))
+        assert text == "1" + "0" * 5000 + " + t + O(t^2)"
+
+
 class TestInverse:
     def test_geometric(self):
         f = Series.one(QQ, 6) - Series.monomial(QQ, 1, 6)

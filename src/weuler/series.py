@@ -194,22 +194,22 @@ class Series:
         return acc
 
     def reverse(self) -> "Series":
-        """Compositional inverse, solved coefficient by coefficient.
+        """Compositional inverse by Lagrange inversion.
 
         Needs order exactly 1 with an invertible linear coefficient; the
         result rev satisfies self(rev(t)) = rev(self(t)) = t through the
-        precision.
+        precision.  With q = t/self(t), [t^k] rev = [t^(k-1)] q^k / k, read
+        off a running power of q; ``compose`` stays an independent check.
         """
-        zero = self.field.zero
-        if self.precision < 2 or self.coeffs[0] != zero or self.coeffs[1] == zero:
+        zero, n = self.field.zero, self.precision
+        if n < 2 or self.coeffs[0] != zero or self.coeffs[1] == zero:
             raise ValueError("reversion requires a delta series with invertible linear term")
-        inv_c1 = self.field.one / self.coeffs[1]
-        b = [zero, inv_c1]
-        for n in range(2, self.precision):
-            partial = Series._make(self.field, list(b), n + 1)
-            comp = self.truncate(n + 1).compose(partial)
-            b.append(-comp.coeffs[n] * inv_c1)
-        return Series._make(self.field, b, self.precision)
+        q = Series._make(self.field, list(self.coeffs[1:]), n - 1).inverse()
+        power, b = q, [zero, q.coeffs[0]]
+        for k in range(2, n):
+            power = power * q
+            b.append(power.coeffs[k - 1] * Fraction(1, k))
+        return Series._make(self.field, b, n)
 
     def derivative(self) -> "Series":
         """Termwise derivative; the precision drops by one."""

@@ -26,6 +26,7 @@ from weuler import cli
 
 SRC = Path(weuler.__file__).resolve().parent
 CORPUS = SRC / "corpus" / "paper.uid"
+FOUND = SRC / "corpus" / "found.uid"
 
 RUNS = (
     ["numbers", "--max-n", "6"],
@@ -34,6 +35,7 @@ RUNS = (
     ["polys", "--max-n", "5", "--w=-3/2"],
     ["verify", "--suite", "paper", "--max-n", "6", "--max-k", "3"],
     ["check", str(CORPUS), "--max-n", "4"],
+    ["check", str(FOUND), "--max-n", "8"],
     ["padic", "--p", "3", "--w", "4", "--poly", "0,1", "--levels", "3", "--prec", "8"],
 )
 FORMATS = ("text", "json", "latex")
@@ -68,7 +70,6 @@ REASONS = {
     "dsl.Sym.render": ROUND_TRIP,
     "dsl._Parser._fail": ERROR,
     "dsl._at": ERROR,
-    "dsl._divide": "division in .uid: no shipped line divides until the next benchmark change (item 13)",
     "dsl._divisor_needs_parens": ROUND_TRIP,
     "dsl._is_tight_atom": ROUND_TRIP,
     "dsl._render_xarg": ROUND_TRIP,
@@ -105,7 +106,7 @@ REASONS = {
     "series.Series.one": PROTOCOL,
     "series.Series.order": SHEFFER,
     "series.Series.reverse": SHEFFER,
-    "series.Series.truncate": SHEFFER + "; compose, reverse and sheffer_basis cut series with it",
+    "series.Series.truncate": SHEFFER + "; compose and sheffer_basis cut series with it",
     "series.exp_series": SHEFFER,
     "umbral.ShefferPair.__init__": SHEFFER,
     "umbral.appell_basis": SHEFFER + "; bench/tracing.py times it as umbral.appell_basis",

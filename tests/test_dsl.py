@@ -346,6 +346,18 @@ class TestCorpus:
         assert len(verdicts) == 7
         assert all(v.status == "pass" for v in verdicts)
 
+    def test_found_corpus_passes_and_its_division_is_exact(self):
+        text = (
+            importlib.resources.files("weuler")
+            .joinpath("corpus/found.uid")
+            .read_text(encoding="utf-8")
+        )
+        verdicts = check_corpus(text)
+        assert [v.status for v in verdicts] == ["pass"]
+        assert "Ek(2, n, x)/2" in verdicts[0].source
+        wrong = check_identity(parse_identity(verdicts[0].source.replace("/2", "/3")))
+        assert (wrong.status, wrong.at, wrong.difference) == ("fail", 0, "2/(3*(1 + w)^2)")
+
     def test_blank_lines_and_comments_skipped(self):
         verdicts = check_corpus("\n# only a comment\n\n")
         assert verdicts == []

@@ -181,6 +181,24 @@ class TestReverse:
             f = Series(QQ, coeffs, 12)
             assert f.compose(f.reverse()) == Series.monomial(QQ, 1, 12)
 
+    def test_reverse_does_not_compose(self, monkeypatch):
+        # compose checks reverse, so reverse must not be built on compose
+        def refuse(*args):
+            raise AssertionError("reverse called compose or truncate")
+
+        monkeypatch.setattr(Series, "compose", refuse)
+        monkeypatch.setattr(Series, "truncate", refuse)
+        got = S([0, 1, 1], precision=8).reverse().coeffs[1:]
+        assert list(got) == [1, -1, 2, -5, 14, -42, 132]
+
+    def test_round_trip_both_ways_over_qw(self):
+        f = Series(QW, [QW.zero, W, 1 + W, 1 / (1 + W), W * W - 3], 8)
+        fbar = f.reverse()
+        assert fbar.coefficient(1) == 1 / W
+        ident = Series.monomial(QW, 1, 8)
+        assert f.compose(fbar) == ident
+        assert fbar.compose(f) == ident
+
 
 class TestExpSeries:
     def test_coefficients(self):

@@ -19,17 +19,23 @@ from .series import Series
 from .umbral import apply_functional, pairing
 
 
-def _field_and_w(w):
-    """Symbolic mode (w = None) works over Q(w); otherwise over Q at w0."""
+def field_and_w(w):
+    """(field, value of w): Q(w) and its indeterminate when w is None, else Q and w0.
+
+    The one place a weight becomes a field.  w = -1 is refused: there
+    g = (w e^t + 1)/2 has constant term 0, so no generating function exists.
+    """
     if w is None:
         return QW, W
     w0 = Fraction(w)
+    if w0 == -1:
+        raise ValueError("w = -1 is a pole of the generating function")
     return QQ, w0
 
 
 def gf_denominator(precision: int, w=None) -> Series:
     """g = (w e^t + 1)/2 as a truncated series."""
-    field, wv = _field_and_w(w)
+    field, wv = field_and_w(w)
     half = Fraction(1, 2)
     coeffs = [(wv + 1) * half]
     fact = 1
@@ -51,7 +57,7 @@ def weighted_euler_numbers(count: int, w=None) -> list:
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    field, wv = _field_and_w(w)
+    field, wv = field_and_w(w)
     numbers = []
     for n in range(count):
         acc = field.of(2) if n == 0 else field.zero
@@ -118,7 +124,7 @@ class EulerTable:
 
     @property
     def field(self):
-        return QW if self.w0 is None else QQ
+        return field_and_w(self.w0)[0]
 
     @property
     def polys(self) -> tuple[Polynomial, ...]:
@@ -133,17 +139,18 @@ class EulerTable:
         w0 = Fraction(w0)
         return EulerTable(self.order, [r.eval_at(w0) for r in self.numbers], w0)
 
-    def with_perturbed_number(self, n: int, delta=1) -> "EulerTable":
-        """Fault injection: bump E_n; the polynomials follow from the numbers."""
+    def with_perturbed_number(self, n: int) -> "EulerTable":
+        """Fault injection: add one to E_n; the polynomials follow from the numbers."""
         numbers = list(self.numbers)
-        numbers[n] = numbers[n] + self.field.of(delta)
+        numbers[n] = numbers[n] + self.field.one
         return EulerTable(self.order, numbers, self.w0)
 
 
 class TableChain:
     """GF^k = (2/(w e^t + 1))^k and its table, for every order k at one count and weight.
 
-    g = (w e^t + 1)/2 is inverted once.  The first time order k is asked
+    The chain decides its field and the value of w once, and keeps
+    g = (w e^t + 1)/2, which it inverts once.  The first time order k is asked
     for, GF^k is made from GF^(k-1) by one product with GF, so orders 1..k
     cost one inverse and k - 1 products, and only orders up to the highest
     one asked for are made.  The powers come from the series alone, never
@@ -155,7 +162,9 @@ class TableChain:
         if count < 1:
             raise ValueError("count must be at least 1")
         self.count = count
-        self.w0 = None if w is None else Fraction(w)
+        self.field, self.w = field_and_w(w)
+        self.w0 = None if w is None else self.w
+        self.g = gf_denominator(count, w)
         self._powers: list[Series] = []          # GF^1, GF^2, ... as far as asked
         self._tables: dict[int, EulerTable] = {}
 
@@ -163,7 +172,7 @@ class TableChain:
         if order < 1:
             raise ValueError("order must be at least 1")
         if not self._powers:
-            self._powers.append(gf_denominator(self.count, self.w0).inverse())
+            self._powers.append(self.g.inverse())
         while len(self._powers) < order:
             self._powers.append(self._powers[-1] * self._powers[0])
         return self._powers[order - 1]
@@ -175,8 +184,7 @@ class TableChain:
             numbers = [power.umbral_coefficient(n) for n in range(self.count)]
             # p_n = sum_l C(n,l) E_{n-l} x^l has constant term E_n and leading
             # coefficient E_0, so its degree law is the one law E_0 = (2/(1+w))^k
-            field, wv = _field_and_w(self.w0)
-            if numbers[0] != (field.of(2) / (wv + 1)) ** order:
+            if numbers[0] != (self.field.of(2) / (self.w + 1)) ** order:
                 raise AssertionError("degree law broken at n=0")
             table = self._tables[order] = EulerTable(order, numbers, self.w0)
         return table
@@ -196,7 +204,7 @@ def binomial_convolution(a: Sequence, b: Sequence, field) -> list:
             for n in range(min(len(a), len(b)))]
 
 
-def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
+def order_k_multinomial(order: int, n: int, w=None):
     """Both sides of E^{(k)}_{n,w} = sum multinomial(n; i's) prod_j E_{i_j,w}.
 
     The left side comes from the order-k generating function.  The right is
@@ -205,17 +213,12 @@ def order_k_multinomial(order: int, n: int, w=None, numbers=None, order_k=None):
     sum for order - 1 parts at i.  So the right side is the order-1 numbers
     binomially convolved with themselves order - 1 times.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    field, _ = _field_and_w(w)
-    if order_k is None:
-        order_k = EulerTable.build(n + 1, order, w).numbers
-    if numbers is None:
-        numbers = weighted_euler_numbers(n + 1, w)
-    row = numbers = numbers[:n + 1]
+    chain = TableChain(n + 1, w)
+    lhs = chain.table(order).numbers[n]
+    row = numbers = weighted_euler_numbers(n + 1, w)
     for _ in range(order - 1):
-        row = binomial_convolution(row, numbers, field)
-    return order_k[n], row[n]
+        row = binomial_convolution(row, numbers, chain.field)
+    return lhs, row[n]
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +302,8 @@ def verify_paper_suite(max_n: int, max_k: int, tables=None) -> Report:
     tables = {k: supplied[k] if k in supplied else chain.table(k) for k in orders}
 
     t1 = tables[1]
-    field, wv = _field_and_w(w0)
-    g = gf_denominator(max_n, w=w0)      # no check reads a coefficient past t^(max_n - 1)
+    field, wv = chain.field, chain.w
+    g = chain.g                          # no check reads a coefficient past t^(max_n - 1)
     gf = chain.power(1)
     # GF^k = (g^k)^{-1}, shared by checks (g) and (h)
     gf_powers = {1: gf}

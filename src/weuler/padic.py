@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .euler import weighted_euler_numbers
+from .euler import field_and_w, weighted_euler_numbers
 from .ratfunc import QQ, QW, W, Polynomial, exact_text
 
 # an exactly-zero deviation has no valuation; a report shows it as the lower
@@ -112,12 +112,8 @@ def exact_integral(f, w=None):
     With w = None the result is symbolic in Q(w); otherwise exact in Q.
     """
     f = _coerce_poly(f)
-    field = QW if w is None else QQ
-    numbers = weighted_euler_numbers(f.degree + 1 if f.degree >= 0 else 1, w=w)
-    acc = field.zero
-    for j, c in enumerate(f.coeffs):
-        acc = acc + c * numbers[j]
-    return acc
+    field, _ = field_and_w(w)
+    return field.dot(f.coeffs, weighted_euler_numbers(max(len(f.coeffs), 1), w=w))
 
 
 def _truncated_text(r: Fraction) -> str:

@@ -128,10 +128,8 @@ def biorthogonality_check(pair: ShefferPair, basis: Sequence[Polynomial], n: int
     return pairing(pair.g * pair.f ** k, basis[n])
 
 
-def expand_in_basis(p: Polynomial, pair: ShefferPair, basis: Sequence[Polynomial]):
-    """Coefficients lambda_k = <g f^k | p> / k! of p in the Sheffer basis."""
-    if len(basis) <= p.degree:
-        raise ValueError(f"need at least {p.degree + 1} basis polynomials, have {len(basis)}")
+def expand_in_basis(p: Polynomial, pair: ShefferPair):
+    """Coefficients lambda_k = <g f^k | p> / k! of p in the Sheffer basis of pair."""
     out = []
     gfk = pair.g
     for k in range(p.degree + 1):

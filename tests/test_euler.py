@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from weuler import cli, euler
+from weuler import cli, euler, padic
 from weuler.euler import (
     EulerTable,
     TableChain,
@@ -67,6 +67,19 @@ class TestNumbers:
     def test_pole_weight_rejected(self):
         with pytest.raises((ValueError, ZeroDivisionError)):
             weighted_euler_numbers(3, w=Fraction(-1))
+
+    @pytest.mark.parametrize("entry", [
+        lambda: gf_denominator(4, -1),
+        lambda: weighted_euler_numbers(3, -1),
+        lambda: weighted_euler_gf(4, 2, w=-1),
+        lambda: EulerTable.build(3, 1, w=-1),
+        lambda: padic.exact_integral([1], w=-1),
+    ], ids=["gf_denominator", "weighted_euler_numbers", "weighted_euler_gf",
+            "EulerTable.build", "exact_integral"])
+    def test_pole_weight_is_one_error(self, entry):
+        # every weight reaches its field through euler.field_and_w, which refuses w = -1
+        with pytest.raises(ValueError, match="w = -1 is a pole of the generating function"):
+            entry()
 
 
 class TestSympyOracle:
@@ -168,7 +181,7 @@ class TestOrderK:
                     for i in parts[1:]:
                         term = term * numbers[i]
                     oracle = oracle + weight * term
-                lhs, rhs = order_k_multinomial(k, n, w=w, numbers=numbers)
+                lhs, rhs = order_k_multinomial(k, n, w=w)
                 assert rhs == oracle, (k, n)
                 assert lhs == rhs, (k, n)
 
@@ -393,6 +406,19 @@ class TestVerifySuite:
 
     def test_boundary_suite(self):
         assert verify_paper_suite(2, 1).passed
+
+    def test_symbolic_g_is_built_once(self, monkeypatch):
+        # the suite reads g from its TableChain; the one other g is check (k)'s at w = 1
+        calls = []
+        real = euler.gf_denominator
+
+        def recording(precision, w=None):
+            calls.append((precision, w))
+            return real(precision, w)
+
+        monkeypatch.setattr(euler, "gf_denominator", recording)
+        assert verify_paper_suite(12, 4).passed
+        assert calls == [(12, None), (12, 1)]
 
     def test_numeric_weight_suite(self):
         tables = {k: EulerTable.build(6, k, w=Fraction(4)) for k in (1, 2)}
